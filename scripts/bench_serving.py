@@ -34,9 +34,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from bench_common import gate, write_envelope
 from repro.runtime import (
     SERVING_SCHEMES,
-    MmppArrivals,
-    PoissonArrivals,
     ServingConfig,
+    arrival_process,
     build_requests,
     simulate_serving,
 )
@@ -58,13 +57,7 @@ PEAK_INFLIGHT_FLOOR = 1000
 def shared_workload(load, arrival):
     """One request stream per load point, shared by every scheme."""
     mean_service = sum(SERVICE_CYCLES) / 2.0
-    mean_gap = mean_service / (load * CORES)
-    if arrival == "mmpp":
-        # calm-state rate scaled so burst episodes average out near
-        # the target load
-        process = MmppArrivals(mean_gap * 2.2, seed=SEED)
-    else:
-        process = PoissonArrivals(mean_gap, seed=SEED)
+    process = arrival_process(arrival, mean_service / (load * CORES), SEED)
     return build_requests(process, REQUESTS, seed=SEED,
                           service_cycles=SERVICE_CYCLES)
 

@@ -30,10 +30,10 @@ from ..params import MachineParams
 from ..runtime.pool import InstancePool
 from ..runtime.sandbox import SandboxManager
 from ..runtime.supervisor import (
-    Priority,
     Request,
     Supervisor,
     SupervisorConfig,
+    draw_priority,
 )
 from .injectors import ChaosConfig, ChaosInjector
 
@@ -47,10 +47,7 @@ def build_workload(seed: int, n_requests: int, *, tenants: int = 6,
     clock = 0
     for index in range(n_requests):
         clock += int(rng.expovariate(1.0 / mean_interarrival_cycles))
-        draw = rng.random()
-        priority = (Priority.HIGH if draw < 0.10
-                    else Priority.LOW if draw < 0.30
-                    else Priority.NORMAL)
+        priority = draw_priority(rng, 0.10, 0.20)
         requests.append(Request(
             index=index,
             tenant=f"tenant-{rng.randrange(tenants)}",

@@ -408,18 +408,17 @@ def cmd_serve(args) -> int:
         if args.max_inflight else args.cores * args.slots_per_shard)
     rows = []
     runs = {}
-    with default_engine(args.engine), default_timing(args.timing):
-        for scheme in schemes:
-            metrics = simulate_serving(
-                scheme, n_requests=args.requests, seed=args.seed,
-                arrival=args.arrival, offered_load=args.load,
-                config=config)
-            runs[scheme] = metrics.as_dict()
-            rows.append((scheme, f"{metrics.goodput_rps:,.0f}",
-                         f"{metrics.p50_ms:.2f}", f"{metrics.p99_ms:.2f}",
-                         f"{metrics.p999_ms:.2f}", str(metrics.shed),
-                         str(metrics.failed), str(metrics.steals),
-                         str(metrics.peak_inflight)))
+    for scheme in schemes:
+        metrics = simulate_serving(
+            scheme, n_requests=args.requests, seed=args.seed,
+            arrival=args.arrival, offered_load=args.load,
+            config=config)
+        runs[scheme] = metrics.as_dict()
+        rows.append((scheme, f"{metrics.goodput_rps:,.0f}",
+                     f"{metrics.p50_ms:.2f}", f"{metrics.p99_ms:.2f}",
+                     f"{metrics.p999_ms:.2f}", str(metrics.shed),
+                     str(metrics.failed), str(metrics.steals),
+                     str(metrics.peak_inflight)))
     table = format_table(
         ("scheme", "goodput req/s", "p50 ms", "p99 ms", "p99.9 ms",
          "shed", "failed", "steals", "peak inflight"), rows)
@@ -430,8 +429,7 @@ def cmd_serve(args) -> int:
     payload = {"config": {"requests": args.requests, "seed": args.seed,
                           "arrival": args.arrival, "load": args.load,
                           "cores": args.cores,
-                          "slots_per_shard": args.slots_per_shard,
-                          "engine": args.engine, "timing": args.timing},
+                          "slots_per_shard": args.slots_per_shard},
                "schemes": runs}
     _emit(args, payload, f"{header}\n\n{table}")
     # every request must be accounted for in every run
@@ -545,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
-        "serve", parents=[output, engine],
+        "serve", parents=[output],
         help="discrete-event serving simulator: open-loop load over "
              "sharded pools with work-stealing")
     p.add_argument("--schemes", default="",

@@ -21,6 +21,7 @@ from .serving import (
     ServingMetrics,
     ServingSimulator,
     TraceArrivals,
+    arrival_process,
     build_requests,
     connection_lifecycle_costs,
     load_trace,
@@ -37,9 +38,10 @@ from .supervisor import (
     Request,
     RequestOutcome,
     Supervisor,
+    SupervisionPolicy,
     SupervisorConfig,
     TenantBreaker,
-    record_breaker_fault,
+    draw_priority,
     shed_victims,
 )
 from .transitions import TransitionKind, TransitionModel
@@ -49,11 +51,11 @@ __all__ = [
     "SandboxError", "SandboxHandle", "SandboxManager", "TransitionKind",
     "TransitionModel", "ChainHop", "ChainModel", "InstancePool",
     "PoolSlot", "StartupModel", "MultiplexModel", "ScheduleOutcome",
-    "Supervisor", "SupervisorConfig", "Request",
+    "Supervisor", "SupervisorConfig", "SupervisionPolicy", "Request",
     "RequestOutcome", "Priority", "FaultKind", "Injection",
     "TenantBreaker", "CLASSIFICATIONS", "shed_victims",
-    "record_breaker_fault", "ShardedInstancePool", "ArrivalProcess",
-    "PoissonArrivals", "MmppArrivals", "TraceArrivals",
+    "draw_priority", "ShardedInstancePool", "ArrivalProcess",
+    "PoissonArrivals", "MmppArrivals", "TraceArrivals", "arrival_process",
     "build_requests", "save_trace", "load_trace", "SchemeCosts",
     "scheme_costs", "SERVING_SCHEMES", "ServingConfig",
     "ServingMetrics", "ServingSimulator", "simulate_serving",

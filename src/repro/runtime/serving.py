@@ -17,8 +17,8 @@ serving architecture and the Faasm cluster setup (SNIPPETS.md):
 * the **supervisor policies** of :mod:`repro.runtime.supervisor` —
   admission control shedding lowest-priority-newest-first (never
   HIGH), per-tenant circuit breakers, watchdog kills — via the same
-  ``shed_victims``/``record_breaker_fault`` code and the same
-  ``Injection`` fault ledger, so shed/failed requests are accounted
+  ``shed_victims``, ``TenantBreaker``, ``SupervisionPolicy`` and
+  ``Injection`` ledger code, so shed/failed requests are accounted
   distinctly from successes;
 * **per-scheme cost plumbing** — each isolation scheme's transition
   round trip comes from :class:`~repro.runtime.transitions.TransitionModel`,
@@ -41,7 +41,7 @@ import heapq
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..os.address_space import AddressSpace
@@ -55,12 +55,14 @@ from .startup import StartupModel
 from .supervisor import (
     FaultKind,
     Injection,
-    Priority,
     Request,
     RequestOutcome,
+    SupervisionPolicy,
     TenantBreaker,
-    record_breaker_fault,
+    draw_priority,
+    pending_fault,
     shed_victims,
+    stamp_fault,
 )
 from .transitions import TransitionKind, TransitionModel
 
@@ -133,9 +135,30 @@ class TraceArrivals(ArrivalProcess):
     gaps: Sequence[int]
     name = "trace"
 
+    def __post_init__(self):
+        if not self.gaps:
+            raise ValueError("TraceArrivals needs at least one gap")
+
     def interarrivals(self, n: int) -> Iterator[int]:
         for i in range(n):
             yield max(0, int(self.gaps[i % len(self.gaps)]))
+
+
+def arrival_process(name: str, mean_gap: float,
+                    seed: int = 0) -> ArrivalProcess:
+    """The named synthetic arrival process at mean gap ``mean_gap``.
+
+    MMPP's calm-state gap is scaled by 2.2 so burst episodes average
+    out near the target.  That factor is a known mislabel: the real
+    mean gap is ~0.85x the calm one, so MMPP offers ~0.53x its label.
+    """
+    if name == "poisson":
+        return PoissonArrivals(mean_gap, seed=seed)
+    if name == "mmpp":
+        return MmppArrivals(mean_gap * 2.2, seed=seed)
+    raise ValueError(f"unknown arrival process {name!r}; known: poisson, "
+                     "mmpp (replay a trace with TraceArrivals or "
+                     "requests=)")
 
 
 def build_requests(arrivals: ArrivalProcess, n_requests: int, *,
@@ -150,10 +173,7 @@ def build_requests(arrivals: ArrivalProcess, n_requests: int, *,
     requests: List[Request] = []
     for index, gap in enumerate(arrivals.interarrivals(n_requests)):
         clock += gap
-        draw = rng.random()
-        priority = (Priority.HIGH if draw < high_fraction
-                    else Priority.LOW if draw < high_fraction + low_fraction
-                    else Priority.NORMAL)
+        priority = draw_priority(rng, high_fraction, low_fraction)
         requests.append(Request(
             index=index, tenant=f"tenant-{rng.randrange(tenants)}",
             service_cycles=rng.randrange(lo, hi), priority=priority,
@@ -179,11 +199,22 @@ def load_trace(path: str) -> List[Request]:
         payload = json.load(fh)
     if payload.get("format") != "repro-hfi-trace-v1":
         raise ValueError(f"{path}: not a repro-hfi trace file")
-    return [Request(index=row["index"], tenant=row["tenant"],
-                    service_cycles=row["service_cycles"],
-                    priority=row["priority"],
-                    arrival_cycle=row["arrival_cycle"])
-            for row in payload["requests"]]
+    requests = [Request(index=row["index"], tenant=row["tenant"],
+                        service_cycles=row["service_cycles"],
+                        priority=row["priority"],
+                        arrival_cycle=row["arrival_cycle"])
+                for row in payload["requests"]]
+    _require_unique_indices(requests)
+    return requests
+
+
+def _require_unique_indices(requests: Sequence[Request]) -> None:
+    """Admission orders queued requests by ``index``: it must be unique."""
+    seen = set()
+    for request in requests:
+        if request.index in seen:
+            raise ValueError(f"duplicate request index {request.index}")
+        seen.add(request.index)
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +330,7 @@ def connection_lifecycle_costs(strategy_name: str, *,
 # the simulator
 # ----------------------------------------------------------------------
 @dataclass
-class ServingConfig:
+class ServingConfig(SupervisionPolicy):
     """Knobs for one serving run."""
 
     n_cores: int = 4
@@ -308,11 +339,6 @@ class ServingConfig:
     #: Admission bound on in-flight requests (queued + executing, each
     #: holding a pool slot).  Overflow sheds lowest-priority-newest.
     max_inflight: int = 64
-    no_shed_priority: int = Priority.HIGH
-    watchdog_multiplier: float = 4.0
-    watchdog_min_cycles: int = 50_000
-    breaker_threshold: int = 4
-    breaker_cooldown_cycles: int = 2_000_000
     backoff_cycles: int = 20_000
     #: Fraction of service a faulting guest runs before the HFI fault.
     failure_service_fraction: float = 0.5
@@ -447,7 +473,9 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request],
             injector=None) -> ServingMetrics:
-        """Drive ``requests`` (sorted by arrival) through the node."""
+        """Drive ``requests`` (sorted by arrival, unique ``index``)
+        through the node."""
+        _require_unique_indices(requests)
         heap: List[tuple] = []
         for request in requests:
             self._push(heap, request.arrival_cycle, _ARRIVAL, request)
@@ -475,16 +503,14 @@ class ServingSimulator:
         injection = request.injection or (
             injector.injection_for(request.index) if injector else None)
         breaker = self.breakers.setdefault(request.tenant, TenantBreaker())
-        if breaker.state == "open":
-            if self.clock < breaker.open_until:
-                self.counters.breaker_shed += 1
-                self._shed(request, injection, "breaker")
-                return
-            breaker.state = "half-open"
+        if not breaker.admit(self.clock):
+            self.counters.breaker_shed += 1
+            self._shed(request, injection, "breaker")
+            return
         # --- admission control: bounded in-flight ---------------------
-        if self._inflight >= self.config.max_inflight:
-            if not self._make_room(request, injection):
-                return                      # the newcomer was the victim
+        if (self._inflight >= self.config.max_inflight
+                and self._shed_lowest(request, injection) is request):
+            return                          # the newcomer was the victim
         # --- slot acquisition (work-stealing shard pool) --------------
         core_index = request.index % self.config.n_cores
         slot, owner, cycles = self.pool.acquire(core_index)
@@ -492,7 +518,7 @@ class ServingSimulator:
                 and request.priority >= self.config.no_shed_priority):
             # a no-shed request found every slot held: evict a queued
             # lower-priority record and take its slot
-            if self._evict_one_queued():
+            if self._shed_lowest() is not None:
                 slot, owner, extra = self.pool.acquire(core_index)
                 cycles += extra
         core = self._cores[core_index]
@@ -509,56 +535,34 @@ class ServingSimulator:
         core.queue.append(record)
         self._maybe_start(heap, core_index)
 
-    def _make_room(self, newcomer: Request,
-                   injection: Optional[Injection]) -> bool:
-        """Shed one victim to admit ``newcomer``; False if the
-        newcomer itself was shed.  Victims come from the queued
-        (not-yet-started) population plus the newcomer, chosen by the
-        supervisor's policy: lowest priority first, newest first,
-        never ``no_shed_priority``.  With no sheddable victim (all
-        HIGH) the newcomer is admitted anyway — HIGH is never dropped.
-        """
-        candidates: List[tuple] = []
-        queued: Dict[int, tuple] = {}
-        for core_index, core in enumerate(self._cores):
-            for record in core.queue:
-                order = record.request.index
-                queued[order] = (core_index, record)
-                candidates.append((order, record.request))
-        newcomer_key = newcomer.index
-        candidates.append((newcomer_key, newcomer))
+    def _shed_lowest(self, newcomer: Optional[Request] = None,
+                     injection: Optional[Injection] = None,
+                     ) -> Optional[Request]:
+        """Shed the lowest-priority, newest of the queued (not yet
+        started) records and ``newcomer``, never ``no_shed_priority``
+        and above; a shed record frees its slot.  Returns the shed
+        request, or None if nothing is sheddable (a HIGH newcomer is
+        then admitted anyway)."""
+        queued: Dict[int, _InFlight] = {
+            record.request.index: record
+            for core in self._cores for record in core.queue}
+        candidates = [(key, record.request)
+                      for key, record in queued.items()]
+        if newcomer is not None:
+            candidates.append((newcomer.index, newcomer))
         victims = shed_victims(candidates, 1,
                                self.config.no_shed_priority)
         if not victims:
-            return True                     # all HIGH: admit regardless
-        victim = victims[0]
-        if victim == newcomer_key and victim not in queued:
+            return None
+        if newcomer is not None and victims[0] == newcomer.index:
             self._shed(newcomer, injection, "admission")
-            return False
-        core_index, record = queued[victim]
-        self._cores[core_index].queue.remove(record)
+            return newcomer
+        record = queued[victims[0]]
+        self._cores[record.core].queue.remove(record)
         self._release_record(record, quarantine=False)
-        self._shed(record.request, record.injection, "admission")
-        return True
-
-    def _evict_one_queued(self) -> bool:
-        """Shed one queued (not yet started) record below the no-shed
-        priority and free its slot; False if nothing is evictable."""
-        candidates: List[tuple] = []
-        queued: Dict[int, tuple] = {}
-        for core_index, core in enumerate(self._cores):
-            for record in core.queue:
-                queued[record.request.index] = (core_index, record)
-                candidates.append((record.request.index, record.request))
-        victims = shed_victims(candidates, 1,
-                               self.config.no_shed_priority)
-        if not victims:
-            return False
-        core_index, record = queued[victims[0]]
-        self._cores[core_index].queue.remove(record)
-        self._release_record(record, quarantine=False)
-        self._shed(record.request, record.injection, "evicted")
-        return True
+        self._shed(record.request, record.injection,
+                   "evicted" if newcomer is None else "admission")
+        return record.request
 
     def _shed(self, request: Request, injection: Optional[Injection],
               why: str) -> None:
@@ -570,11 +574,8 @@ class ServingSimulator:
 
     def _account(self, injection: Optional[Injection],
                  classification: str) -> None:
-        if injection is None or injection.classified is not None:
-            return
-        injection.classified = classification
-        if self.telemetry.enabled:
-            self.telemetry.count(f"serving.fault[{classification}]")
+        stamp_fault(injection, classification, self.telemetry,
+                    "serving.fault")
 
     # ------------------------------------------------------------------
     # dispatch and completion
@@ -602,11 +603,7 @@ class ServingSimulator:
         scheme, config, request = self.scheme, self.config, record.request
         base = (scheme.dispatch_cycles + scheme.transition_cycles
                 + scheme.setup_cycles)
-        pending = (record.injection.kind
-                   if (record.injection is not None
-                       and record.injection.classified is None
-                       and record.injection.kind
-                       is not FaultKind.BURST_OVERLOAD) else None)
+        pending = pending_fault(record.injection)
         if pending is FaultKind.TRANSIENT_KERNEL:
             # failed pre-invoke kernel call: backoff, then a clean retry
             return (self.params.syscall_cycles + config.backoff_cycles
@@ -618,10 +615,8 @@ class ServingSimulator:
                     + config.backoff_cycles + 2 * base
                     + request.service_cycles)
         if pending is FaultKind.GUEST_HANG:
-            budget = max(config.watchdog_min_cycles,
-                         int(config.watchdog_multiplier
-                             * request.service_cycles))
-            return base + budget + self.params.signal_delivery_cycles
+            return (base + config.watchdog_budget(request.service_cycles)
+                    + self.params.signal_delivery_cycles)
         if pending is FaultKind.GUEST_FAULT:
             held = int(request.service_cycles
                        * config.failure_service_fraction)
@@ -634,17 +629,13 @@ class ServingSimulator:
         request, injection = record.request, record.injection
         breaker = self.breakers.setdefault(request.tenant,
                                            TenantBreaker())
-        pending = (injection.kind
-                   if (injection is not None
-                       and injection.classified is None
-                       and injection.kind is not FaultKind.BURST_OVERLOAD)
-                   else None)
+        pending = pending_fault(injection)
         if pending is FaultKind.GUEST_HANG:
             self._release_record(record, quarantine=True)
             self._account(injection, "killed")
             self.counters.killed += 1
             self.counters.failed += 1
-            self._breaker_fault(breaker)
+            breaker.record_fault(self.clock, self.config)
             self.outcomes.append(RequestOutcome(
                 request, "failed", attempts=1, detail="watchdog"))
         elif pending is FaultKind.GUEST_FAULT:
@@ -652,7 +643,7 @@ class ServingSimulator:
             self._account(injection, "quarantined")
             self.counters.quarantined += 1
             self.counters.failed += 1
-            self._breaker_fault(breaker)
+            breaker.record_fault(self.clock, self.config)
             self.outcomes.append(RequestOutcome(
                 request, "failed", attempts=1, detail="guest-fault"))
         else:
@@ -667,11 +658,10 @@ class ServingSimulator:
                 self._release_record(record, quarantine=True)
                 self._account(injection, "quarantined")
                 self.counters.quarantined += 1
-                self._breaker_fault(breaker)
+                breaker.record_fault(self.clock, self.config)
             else:
                 self._release_record(record, quarantine=False)
-                breaker.consecutive_faults = 0
-                breaker.state = "closed"
+                breaker.reset()
             latency = self.clock - request.arrival_cycle
             self.latencies.append(latency)
             self.counters.succeeded += 1
@@ -693,11 +683,6 @@ class ServingSimulator:
         core.busy_until = max(core.busy_until, self.clock) + cost
         core.busy_cycles += cost
         self.counters.recycle_cycles += cost
-
-    def _breaker_fault(self, breaker: TenantBreaker) -> None:
-        record_breaker_fault(breaker, self.clock,
-                             self.config.breaker_threshold,
-                             self.config.breaker_cooldown_cycles)
 
     # ------------------------------------------------------------------
     def _metrics(self, requests: Sequence[Request],
@@ -792,16 +777,7 @@ def simulate_serving(scheme: str = "hfi", *, n_requests: int = 2000,
     if requests is None:
         mean_interarrival = (mean_service_cycles(costs, service_cycles)
                              / (max(1e-9, offered_load) * config.n_cores))
-        if arrival == "poisson":
-            process: ArrivalProcess = PoissonArrivals(
-                mean_interarrival, seed=seed)
-        elif arrival == "mmpp":
-            # calm-state rate scaled so the long-run offered load
-            # (including burst episodes) stays near the target
-            process = MmppArrivals(mean_interarrival * 2.2, seed=seed)
-        else:
-            raise ValueError(f"unknown arrival process {arrival!r}; "
-                             "pass requests= for trace replay")
+        process = arrival_process(arrival, mean_interarrival, seed)
         requests = build_requests(process, n_requests, seed=seed,
                                   service_cycles=service_cycles)
     else:

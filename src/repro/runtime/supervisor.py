@@ -88,29 +88,6 @@ def shed_victims(candidates, overflow: int,
     return [key for key, _ in ranked[:overflow]]
 
 
-def record_breaker_fault(breaker: "TenantBreaker", clock: int,
-                         threshold: int, cooldown_cycles: int) -> bool:
-    """Advance a tenant breaker through one observed fault.
-
-    A failed half-open probe re-opens the circuit without counting a
-    new trip; crossing ``threshold`` consecutive faults opens it and
-    counts one.  Returns True exactly when a new trip occurred, so
-    callers can keep their own trip counters/telemetry.
-    """
-    breaker.consecutive_faults += 1
-    if breaker.state == "half-open":
-        # the probe failed: straight back to open
-        breaker.state = "open"
-        breaker.open_until = clock + cooldown_cycles
-        return False
-    if breaker.consecutive_faults >= threshold:
-        breaker.state = "open"
-        breaker.open_until = clock + cooldown_cycles
-        breaker.trips += 1
-        return True
-    return False
-
-
 @dataclass
 class Injection:
     """One planned fault, stamped by the supervisor when handled."""
@@ -126,6 +103,17 @@ class Priority(enum.IntEnum):
     LOW = 0
     NORMAL = 1
     HIGH = 2
+
+
+def draw_priority(rng: random.Random, high_fraction: float,
+                  low_fraction: float) -> Priority:
+    """One request's priority from a single ``rng.random()`` draw."""
+    draw = rng.random()
+    if draw < high_fraction:
+        return Priority.HIGH
+    if draw < high_fraction + low_fraction:
+        return Priority.LOW
+    return Priority.NORMAL
 
 
 @dataclass
@@ -150,22 +138,52 @@ class RequestOutcome:
     detail: str = ""
 
 
+def pending_fault(injection: Optional[Injection]) -> Optional[FaultKind]:
+    """The one-shot fault an invocation must act on: an injection not
+    yet classified, except burst overload (admission's business)."""
+    if (injection is None or injection.classified is not None
+            or injection.kind is FaultKind.BURST_OVERLOAD):
+        return None
+    return injection.kind
+
+
+def stamp_fault(injection: Optional[Injection], classification: str,
+                telemetry: Telemetry, counter: str) -> None:
+    """Stamp ``injection``'s ledger entry once; later stamps are no-ops."""
+    assert classification in CLASSIFICATIONS, classification
+    if injection is None or injection.classified is not None:
+        return
+    injection.classified = classification
+    if telemetry.enabled:
+        telemetry.count(f"{counter}[{classification}]")
+
+
 @dataclass
-class SupervisorConfig:
+class SupervisionPolicy:
+    """Watchdog, breaker and shedding knobs both serving loops share."""
+
     #: Watchdog budget = max(min_cycles, multiplier × declared service).
     watchdog_multiplier: float = 4.0
     watchdog_min_cycles: int = 50_000
+    breaker_threshold: int = 4
+    breaker_cooldown_cycles: int = 2_000_000
+    #: Priorities at or above this are never shed by admission control.
+    no_shed_priority: int = Priority.HIGH
+
+    def watchdog_budget(self, service_cycles: int) -> int:
+        return max(self.watchdog_min_cycles,
+                   int(self.watchdog_multiplier * service_cycles))
+
+
+@dataclass
+class SupervisorConfig(SupervisionPolicy):
     max_retries: int = 3
     backoff_base_cycles: int = 20_000
     backoff_multiplier: float = 2.0
     backoff_jitter: float = 0.25
-    breaker_threshold: int = 4
-    breaker_cooldown_cycles: int = 2_000_000
     #: Admission control: arrived-but-unserved requests beyond this are
     #: shed, lowest priority first.
     queue_limit: int = 32
-    #: Priorities at or above this are never shed by admission control.
-    no_shed_priority: int = Priority.HIGH
     #: Per-tenant sandbox heap.
     heap_bytes: int = 1 << 20
     transition: TransitionKind = TransitionKind.ZERO_COST
@@ -173,12 +191,41 @@ class SupervisorConfig:
 
 @dataclass
 class TenantBreaker:
-    """Per-tenant circuit breaker state."""
+    """Per-tenant circuit breaker: closed -> open -> half-open."""
 
     consecutive_faults: int = 0
     state: str = "closed"       # closed | open | half-open
     open_until: int = 0
     trips: int = 0
+
+    def admit(self, clock: int) -> bool:
+        """False while open; past the cooldown, go half-open and admit."""
+        if self.state == "open":
+            if clock < self.open_until:
+                return False
+            self.state = "half-open"
+        return True
+
+    def record_fault(self, clock: int, policy: SupervisionPolicy) -> bool:
+        """Count one fault; True exactly when it trips the circuit.
+
+        ``breaker_threshold`` consecutive faults open the circuit (a
+        trip); a failed half-open probe re-opens it without a new trip.
+        """
+        self.consecutive_faults += 1
+        probe_failed = self.state == "half-open"
+        tripped = (not probe_failed
+                   and self.consecutive_faults >= policy.breaker_threshold)
+        if probe_failed or tripped:
+            self.state = "open"
+            self.open_until = clock + policy.breaker_cooldown_cycles
+            self.trips += tripped
+        return tripped
+
+    def reset(self) -> None:
+        """A clean success closes the circuit."""
+        self.consecutive_faults = 0
+        self.state = "closed"
 
 
 #: Written at the top of an acquired slot's heap; checked after every
@@ -231,12 +278,8 @@ class Supervisor:
     # ------------------------------------------------------------------
     def _account(self, injection: Optional[Injection],
                  classification: str) -> None:
-        assert classification in CLASSIFICATIONS, classification
-        if injection is None or injection.classified is not None:
-            return
-        injection.classified = classification
-        if self.telemetry.enabled:
-            self.telemetry.count(f"supervisor.fault[{classification}]")
+        stamp_fault(injection, classification, self.telemetry,
+                    "supervisor.fault")
 
     # ------------------------------------------------------------------
     # serving
@@ -296,13 +339,11 @@ class Supervisor:
         injection = request.injection or (
             injector.injection_for(request.index) if injector else None)
         # --- circuit breaker ------------------------------------------
-        if breaker.state == "open":
-            if self.clock < breaker.open_until:
-                self.counters.shed += 1
-                self.counters.breaker_shed += 1
-                self._account(injection, "shed")
-                return RequestOutcome(request, "shed", detail="breaker")
-            breaker.state = "half-open"      # cooldown over: one probe
+        if not breaker.admit(self.clock):
+            self.counters.shed += 1
+            self.counters.breaker_shed += 1
+            self._account(injection, "shed")
+            return RequestOutcome(request, "shed", detail="breaker")
         # --- slot acquisition -----------------------------------------
         slot = self._acquire_slot()
         if slot is None:
@@ -311,10 +352,7 @@ class Supervisor:
             return RequestOutcome(request, "shed", detail="capacity")
         handle = self._tenant_sandbox(request.tenant)
         # One-shot pending fault: consumed by the attempt it hits.
-        pending = injection.kind if (
-            injection is not None
-            and injection.classified is None
-            and injection.kind is not FaultKind.BURST_OVERLOAD) else None
+        pending = pending_fault(injection)
 
         attempts = 0
         spent = 0
@@ -343,7 +381,7 @@ class Supervisor:
             if pending is FaultKind.GUEST_HANG:
                 # The guest never yields: the watchdog fires at the
                 # budget and the supervisor kills the whole sandbox.
-                budget = self._watchdog_budget(request)
+                budget = self.config.watchdog_budget(request.service_cycles)
                 result = self.manager.invoke(handle, budget,
                                              self.config.transition)
                 spent += result.cycles
@@ -408,8 +446,7 @@ class Supervisor:
             else:
                 self.manager.space.write(canary_addr, 0, check=False)
                 spent += self.pool.release(slot)
-                breaker.consecutive_faults = 0
-                breaker.state = "closed"
+                breaker.reset()
             self.counters.succeeded += 1
             return self._finish(request, "ok", attempts, spent)
         # retries exhausted
@@ -432,11 +469,6 @@ class Supervisor:
     # ------------------------------------------------------------------
     # recovery machinery
     # ------------------------------------------------------------------
-    def _watchdog_budget(self, request: Request) -> int:
-        return max(self.config.watchdog_min_cycles,
-                   int(self.config.watchdog_multiplier
-                       * request.service_cycles))
-
     def _kill_and_replace(self, tenant: str, handle: SandboxHandle,
                           slot: PoolSlot):
         """Reap a misbehaving sandbox and quarantine its slot.
@@ -469,9 +501,7 @@ class Supervisor:
 
     def _breaker_fault(self, breaker: TenantBreaker,
                        cause: FaultCause = FaultCause.NONE) -> None:
-        if record_breaker_fault(breaker, self.clock,
-                                self.config.breaker_threshold,
-                                self.config.breaker_cooldown_cycles):
+        if breaker.record_fault(self.clock, self.config):
             self.counters.breaker_trips += 1
             if self.telemetry.enabled:
                 self.telemetry.count("supervisor.breaker_trip")

@@ -41,12 +41,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..runtime.serving import (
     POOLED_POP_CYCLES,
-    MmppArrivals,
-    PoissonArrivals,
     SchemeCosts,
+    arrival_process,
     connection_lifecycle_costs,
 )
-from ..runtime.supervisor import Priority, Request
+from ..runtime.supervisor import Request, draw_priority
 from .font import graphite_reflow
 from .image import COMPRESSION_ROUNDS, RESOLUTIONS, jpeg_decode
 from .nginx import FILE_SIZES, NginxModel
@@ -120,18 +119,12 @@ def build_connection_profiles(n_connections: int, *, seed: int = 0,
         for w, size in zip(_FILE_SIZE_WEIGHTS, FILE_SIZES)) / weights_total
     mean_connection = mean_keepalive * mean_request
     mean_gap = mean_connection / (max(1e-9, load) * n_cores)
-    if arrival == "mmpp":
-        process = MmppArrivals(mean_gap * 2.2, seed=seed)
-    else:
-        process = PoissonArrivals(mean_gap, seed=seed)
+    process = arrival_process(arrival, mean_gap, seed)
     profiles: List[ConnectionProfile] = []
     clock = 0
     for index, gap in enumerate(process.interarrivals(n_connections)):
         clock += gap
-        draw = rng.random()
-        priority = (Priority.HIGH if draw < high_fraction
-                    else Priority.LOW if draw < high_fraction + low_fraction
-                    else Priority.NORMAL)
+        priority = draw_priority(rng, high_fraction, low_fraction)
         profiles.append(ConnectionProfile(
             index=index,
             tenant=f"tenant-{rng.randrange(tenants)}",
@@ -277,10 +270,7 @@ def build_render_profiles(n_jobs: int, *, seed: int = 0,
     rng = random.Random((seed << 8) ^ 0xF0D7)
     out = []
     for index in range(n_jobs):
-        draw = rng.random()
-        priority = (Priority.HIGH if draw < high_fraction
-                    else Priority.LOW if draw < high_fraction + low_fraction
-                    else Priority.NORMAL)
+        priority = draw_priority(rng, high_fraction, low_fraction)
         out.append((index, names[rng.randrange(len(names))],
                     f"tenant-{rng.randrange(tenants)}", priority, 0))
     return out
@@ -304,11 +294,8 @@ def render_requests(job_table: Dict[str, Dict[str, int]],
                     for _, job, _, _, _ in profiles)
                 / max(1, len(profiles)))
     mean_gap = mean_job / (max(1e-9, load) * n_cores)
-    if arrival == "mmpp":
-        process = MmppArrivals(mean_gap * 2.2, seed=seed)
-    else:
-        process = PoissonArrivals(mean_gap, seed=seed)
-    gaps = list(process.interarrivals(len(profiles)))
+    gaps = list(arrival_process(arrival, mean_gap, seed)
+                .interarrivals(len(profiles)))
     arrivals = []
     clock = 0
     for gap in gaps:

@@ -92,3 +92,17 @@ class TestCli:
     def test_chaos_rejects_bad_rate(self):
         with pytest.raises(SystemExit):
             main(["chaos", "--fault-rate", "1.5"])
+
+    def test_serve_json_accounts_every_request(self, capsys):
+        import json
+        assert main(["serve", "--requests", "300", "--load", "1.3",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["schemes"]) == {"hfi", "guard-pages", "mpk"}
+        assert all(run["accounted"] for run in payload["schemes"].values())
+        assert payload["config"]["requests"] == 300
+
+    def test_serve_takes_no_engine_flags(self):
+        # the serving path prices costs and never runs the CPU
+        with pytest.raises(SystemExit):
+            main(["serve", "--engine", "blocks"])

@@ -7,7 +7,11 @@ shedding, breakers, watchdog), fault-ledger classification, and the
 telemetry snapshot.
 """
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.params import MachineParams
 from repro.runtime import (
@@ -22,12 +26,16 @@ from repro.runtime import (
     ServingSimulator,
     ShardedInstancePool,
     TraceArrivals,
+    arrival_process,
     build_requests,
+    draw_priority,
     load_trace,
     save_trace,
     scheme_costs,
+    shed_victims,
     simulate_serving,
 )
+from repro.runtime.serving import _Core, _InFlight
 from repro.os import AddressSpace
 from repro.telemetry import ServingStats, Telemetry
 from repro.wasm import HfiStrategy
@@ -85,6 +93,29 @@ class TestArrivals:
         trace = TraceArrivals([5, 10, 15])
         assert list(trace.interarrivals(5)) == [5, 10, 15, 5, 10]
 
+    def test_trace_rejects_empty_gaps(self):
+        with pytest.raises(ValueError):
+            TraceArrivals(gaps=[])
+
+    def test_arrival_process_by_name(self):
+        poisson = arrival_process("poisson", 1000.0, seed=3)
+        assert isinstance(poisson, PoissonArrivals)
+        assert poisson.mean_interarrival_cycles == 1000.0
+        mmpp = arrival_process("mmpp", 1000.0, seed=3)
+        assert isinstance(mmpp, MmppArrivals)
+        assert mmpp.seed == 3
+        with pytest.raises(ValueError):
+            arrival_process("adversarial", 1000.0)
+
+    def test_draw_priority_uses_one_draw_per_request(self):
+        rng, mirror = random.Random(7), random.Random(7)
+        for _ in range(200):
+            draw = mirror.random()
+            expected = (Priority.HIGH if draw < 0.1
+                        else Priority.LOW if draw < 0.3
+                        else Priority.NORMAL)
+            assert draw_priority(rng, 0.1, 0.2) == expected
+
     def test_build_requests_sorted_and_prioritized(self):
         requests = build_requests(PoissonArrivals(1000.0, seed=2), 400,
                                   seed=2)
@@ -101,6 +132,14 @@ class TestArrivals:
         save_trace(requests, path)
         replayed = load_trace(path)
         assert replayed == requests
+
+    def test_load_trace_rejects_duplicate_index(self, tmp_path):
+        requests = [Request(5, "t0", 1000, Priority.LOW, 1),
+                    Request(5, "t0", 1000, Priority.NORMAL, 2)]
+        path = str(tmp_path / "trace.json")
+        save_trace(requests, path)
+        with pytest.raises(ValueError, match="duplicate request index 5"):
+            load_trace(path)
 
     def test_load_trace_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -305,6 +344,32 @@ class TestServingLoop:
         assert statuses[1] == "shed"        # queued LOW evicted
         assert statuses[2] == "ok"          # NORMAL admitted
 
+    def duplicate_index_stream(self, second=5):
+        return [Request(0, "t0", 200_000, Priority.NORMAL, 0),
+                Request(5, "t0", 200_000, Priority.LOW, 1),
+                Request(second, "t0", 200_000, Priority.NORMAL, 2),
+                Request(9, "t0", 200_000, Priority.NORMAL, 3)]
+
+    def test_duplicate_index_rejected(self):
+        """Admission keys queued records by index: a duplicate once
+        made it shed the NORMAL twin while the LOW one ran."""
+        config = ServingConfig(n_cores=1, slots_per_shard=8,
+                               max_inflight=3)
+        with pytest.raises(ValueError, match="duplicate request index 5"):
+            self.run(self.duplicate_index_stream(), config=config)
+        with pytest.raises(ValueError):
+            simulate_serving("hfi", requests=self.duplicate_index_stream())
+
+    def test_admission_sheds_the_low_request(self):
+        config = ServingConfig(n_cores=1, slots_per_shard=8,
+                               max_inflight=3)
+        sim, metrics = self.run(self.duplicate_index_stream(second=6),
+                                config=config)
+        shed = [(o.request.index, o.detail) for o in sim.outcomes
+                if o.status == "shed"]
+        assert shed == [(5, "admission")]
+        assert metrics.succeeded == 3
+
     def test_breaker_opens_and_sheds_tenant(self):
         """A tenant whose guests keep faulting trips its breaker; its
         later requests shed without holding slots."""
@@ -431,3 +496,62 @@ class TestSimulateServing:
         metrics = simulate_serving("hfi", requests=reqs, seed=6)
         assert metrics.requests == 50
         assert metrics.arrival == "trace"
+
+
+# ----------------------------------------------------------------------
+# the one admission path against its oracle
+# ----------------------------------------------------------------------
+priorities = st.sampled_from(list(Priority))
+populations = st.lists(st.tuples(st.integers(0, 500), priorities),
+                       max_size=12, unique_by=lambda entry: entry[0])
+ALL_HIGH = [(3, Priority.HIGH), (8, Priority.HIGH), (1, Priority.HIGH)]
+
+
+class TestAdmissionProperty:
+    """``ServingSimulator._shed_lowest`` must shed exactly the request
+    ``shed_victims`` picks over the full candidate list (the queued
+    population plus the newcomer, if any)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(queued=populations,
+           newcomer=st.one_of(st.none(),
+                              st.tuples(st.integers(501, 600), priorities)),
+           n_cores=st.integers(1, 3))
+    @example(queued=ALL_HIGH, newcomer=None, n_cores=2)
+    @example(queued=ALL_HIGH, newcomer=(600, Priority.HIGH), n_cores=2)
+    @example(queued=ALL_HIGH, newcomer=(600, Priority.LOW), n_cores=1)
+    @example(queued=[], newcomer=(600, Priority.NORMAL), n_cores=1)
+    def test_sheds_the_oracle_victim(self, queued, newcomer, n_cores):
+        config = ServingConfig(n_cores=n_cores, slots_per_shard=12)
+        sim = ServingSimulator("hfi", config, MachineParams())
+        sim._cores = [_Core() for _ in range(n_cores)]
+        requests = [Request(index, "t0", 1000, priority)
+                    for index, priority in queued]
+        for position, request in enumerate(requests):
+            core = position % n_cores
+            slot, owner, _ = sim.pool.acquire(core)
+            sim._cores[core].queue.append(
+                _InFlight(request, slot, owner, core))
+            sim._inflight += 1
+        new = (Request(newcomer[0], "t1", 1000, newcomer[1])
+               if newcomer is not None else None)
+        candidates = [(r.index, r) for r in requests]
+        if new is not None:
+            candidates.append((new.index, new))
+        oracle = shed_victims(candidates, 1, config.no_shed_priority)
+
+        shed = sim._shed_lowest(new)
+
+        if not oracle:
+            assert shed is None and sim.outcomes == []
+            assert sim._inflight == len(requests)
+            return
+        assert shed.index == oracle[0]
+        [outcome] = sim.outcomes
+        assert outcome.request is shed and outcome.status == "shed"
+        assert outcome.detail == ("evicted" if new is None
+                                  else "admission")
+        still_queued = [record.request for core in sim._cores
+                        for record in core.queue]
+        assert shed not in still_queued
+        assert sim._inflight == len(still_queued)

@@ -19,8 +19,10 @@ from repro.runtime import (
     Request,
     SandboxError,
     SandboxManager,
+    SupervisionPolicy,
     Supervisor,
     SupervisorConfig,
+    TenantBreaker,
 )
 from repro.verify import check_pool
 from repro.wasm import HfiStrategy
@@ -159,7 +161,8 @@ class TestRecoveryPaths:
         assert sup.counters.watchdog_kills == 1
         assert sup.counters.sandboxes_reaped >= 1
         # the killed attempt burned the full watchdog budget
-        budget = sup._watchdog_budget(outcomes[1].request)
+        budget = sup.config.watchdog_budget(
+            outcomes[1].request.service_cycles)
         assert outcomes[1].cycles > budget
         sup.shutdown()
         assert manager.live_sandboxes == 0
@@ -250,6 +253,26 @@ class TestCircuitBreaker:
                        arrival_cycle=sup.clock)
         assert sup.serve([good])[0].status == "ok"
 
+    def test_breaker_transitions(self):
+        """The one closed -> open -> half-open state machine both
+        serving loops drive."""
+        policy = SupervisionPolicy(breaker_threshold=2,
+                                   breaker_cooldown_cycles=100)
+        breaker = TenantBreaker()
+        assert breaker.record_fault(0, policy) is False
+        assert breaker.record_fault(10, policy) is True     # trip
+        assert (breaker.state, breaker.open_until) == ("open", 110)
+        assert not breaker.admit(109)
+        assert breaker.admit(110) and breaker.state == "half-open"
+        # a failed probe re-opens without counting a new trip
+        assert breaker.record_fault(120, policy) is False
+        assert (breaker.state, breaker.open_until) == ("open", 220)
+        assert breaker.trips == 1
+        assert breaker.admit(220)
+        breaker.reset()
+        assert (breaker.state, breaker.consecutive_faults) == ("closed", 0)
+        assert breaker.admit(0)
+
 
 class TestAdmissionControl:
     def test_overflow_sheds_lowest_priority_newest_first(self, params):
@@ -317,7 +340,9 @@ class TestSupervisorPolicyInServingLoop:
     hold unchanged when driven by open-loop arrivals through the
     discrete-event loop (``repro.runtime.serving``) instead of the
     batch ``Supervisor.serve`` path.  Both paths share the actual
-    policy code (``shed_victims``/``record_breaker_fault``), so a
+    policy code — ``shed_victims``, the ``TenantBreaker``
+    admit/record_fault/reset transitions, ``pending_fault``,
+    ``stamp_fault`` and ``SupervisionPolicy.watchdog_budget`` — so a
     divergence here means the event loop wired it up wrong.
     """
 
