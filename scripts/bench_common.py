@@ -7,6 +7,8 @@ consume any ``BENCH_*.json`` uniformly::
       "schema_version": 1,
       "bench": "<name>",
       "python": "3.x.y",
+      "wall_s": 4.7,      # script wall-clock up to the envelope
+      "host": {"platform": "...", "cpu_count": 2},
       "config":  {...},   # the knobs that shaped the run
       "results": {...},   # the measurements
       "gates": {          # named pass/fail criteria with detail
@@ -17,15 +19,23 @@ consume any ``BENCH_*.json`` uniformly::
 
 Benchmarks keep their own ``config``/``results`` vocabulary; only the
 envelope — and the rule that anything a script exits nonzero over must
-appear as a gate — is shared.
+appear as a gate — is shared.  ``wall_s`` and ``host`` say how long the
+run took and where; they sit outside ``config``/``results``/``gates``
+so those stay comparable across hosts and changes.
 """
 
 import json
+import os
 import pathlib
+import platform
 import sys
+import time
 from typing import Dict
 
 SCHEMA_VERSION = 1
+
+#: Scripts import this module first thing, so ``wall_s`` spans the run.
+_STARTED = time.perf_counter()
 
 
 def gate(passed, **detail) -> Dict:
@@ -57,6 +67,9 @@ def envelope(bench: str, config: Dict, results: Dict,
         "schema_version": SCHEMA_VERSION,
         "bench": bench,
         "python": sys.version.split()[0],
+        "wall_s": round(time.perf_counter() - _STARTED, 3),
+        "host": {"platform": platform.platform(),
+                 "cpu_count": os.cpu_count()},
         "config": config,
         "results": results,
         "gates": gates,

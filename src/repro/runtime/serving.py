@@ -61,6 +61,7 @@ from .supervisor import (
     TenantBreaker,
     draw_priority,
     pending_fault,
+    shed_order,
     shed_victims,
     stamp_fault,
 )
@@ -417,9 +418,9 @@ _COMPLETE = 0
 _ARRIVAL = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class _InFlight:
-    """One admitted request holding a pool slot."""
+    """One admitted request holding a pool slot (compared by identity)."""
 
     request: Request
     slot: PoolSlot
@@ -467,6 +468,7 @@ class ServingSimulator:
         self.clock = 0
         self._inflight = 0
         self._seq = 0
+        self._reset_victims()
         if self.telemetry.enabled:
             self.telemetry.register_component("serving", self.stats)
 
@@ -481,6 +483,7 @@ class ServingSimulator:
             self._push(heap, request.arrival_cycle, _ARRIVAL, request)
         last_arrival = max((r.arrival_cycle for r in requests), default=0)
         self._cores = [_Core() for _ in range(self.config.n_cores)]
+        self._reset_victims()
         while heap:
             cycle, kind, _, payload = heapq.heappop(heap)
             self.clock = max(self.clock, cycle)
@@ -532,22 +535,62 @@ class ServingSimulator:
         self._inflight += 1
         self.counters.peak_inflight = max(self.counters.peak_inflight,
                                           self._inflight)
-        core.queue.append(record)
+        self._enqueue(record)
         self._maybe_start(heap, core_index)
+
+    # ------------------------------------------------------------------
+    # the victim index: the sheddable queued records by request index,
+    # plus a heap of their ``shed_order`` keys.  A heap entry whose
+    # index is no longer in ``_queued`` (it started or was shed) is
+    # stale and dropped when it reaches the top; the heap is rebuilt
+    # from ``_queued`` once it holds more than 2 x live + 64 entries.
+    # ------------------------------------------------------------------
+    def _reset_victims(self) -> None:
+        self._victims: List[Tuple[int, int]] = []
+        self._queued: Dict[int, _InFlight] = {}
+
+    def _enqueue(self, record: _InFlight) -> None:
+        """Queue ``record`` on its core and index it if sheddable."""
+        self._cores[record.core].queue.append(record)
+        request = record.request
+        if request.priority < self.config.no_shed_priority:
+            self._queued[request.index] = record
+            heapq.heappush(self._victims,
+                           shed_order(request.index, request))
+
+    def _unindex(self, record: _InFlight) -> None:
+        """``record`` left its queue: drop it from the victim index."""
+        queued = self._queued
+        if (queued.pop(record.request.index, None) is not None
+                and len(self._victims) > 2 * len(queued) + 64):
+            self._victims = [shed_order(index, live.request)
+                             for index, live in queued.items()]
+            heapq.heapify(self._victims)
+
+    def _lowest_queued(self) -> Optional[_InFlight]:
+        """The queued record ``shed_order`` ranks first, if any."""
+        victims, queued = self._victims, self._queued
+        while victims:
+            record = queued.get(-victims[0][1])
+            if record is not None:
+                return record
+            heapq.heappop(victims)
+        return None
 
     def _shed_lowest(self, newcomer: Optional[Request] = None,
                      injection: Optional[Injection] = None,
                      ) -> Optional[Request]:
         """Shed the lowest-priority, newest of the queued (not yet
         started) records and ``newcomer``, never ``no_shed_priority``
-        and above; a shed record frees its slot.  Returns the shed
-        request, or None if nothing is sheddable (a HIGH newcomer is
-        then admitted anyway)."""
-        queued: Dict[int, _InFlight] = {
-            record.request.index: record
-            for core in self._cores for record in core.queue}
-        candidates = [(key, record.request)
-                      for key, record in queued.items()]
+        and above; a shed record frees its slot.  The victim index
+        supplies the best queued record, so ``shed_victims`` decides
+        between at most two candidates.  Returns the shed request, or
+        None if nothing is sheddable (a HIGH newcomer is then admitted
+        anyway)."""
+        record = self._lowest_queued()
+        candidates = []
+        if record is not None:
+            candidates.append((record.request.index, record.request))
         if newcomer is not None:
             candidates.append((newcomer.index, newcomer))
         victims = shed_victims(candidates, 1,
@@ -557,8 +600,8 @@ class ServingSimulator:
         if newcomer is not None and victims[0] == newcomer.index:
             self._shed(newcomer, injection, "admission")
             return newcomer
-        record = queued[victims[0]]
         self._cores[record.core].queue.remove(record)
+        self._unindex(record)
         self._release_record(record, quarantine=False)
         self._shed(record.request, record.injection,
                    "evicted" if newcomer is None else "admission")
@@ -585,6 +628,7 @@ class ServingSimulator:
         if core.running is not None or not core.queue:
             return
         record = core.queue.popleft()
+        self._unindex(record)
         core.running = record
         record.started = True
         start = max(self.clock, core.busy_until)

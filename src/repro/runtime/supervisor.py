@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import FaultCause
 from ..os.signals import SigInfo, Signal, SignalTable
@@ -68,6 +68,13 @@ class FaultKind(str, enum.Enum):
 CLASSIFICATIONS = ("retried", "shed", "quarantined", "killed")
 
 
+def shed_order(key: int, request) -> Tuple[int, int]:
+    """Sort key of the shedding rule: lowest priority first, then
+    newest (largest ``key``) first.  :func:`shed_victims` ranks by it
+    and the serving simulator's victim heap is keyed on it."""
+    return (request.priority, -key)
+
+
 def shed_victims(candidates, overflow: int,
                  no_shed_priority: int) -> List[int]:
     """Admission-control victim selection, shared by the synchronous
@@ -75,17 +82,27 @@ def shed_victims(candidates, overflow: int,
     (:mod:`repro.runtime.serving`).
 
     ``candidates`` are ``(order_key, request)`` pairs where a larger
-    ``order_key`` means *newer*; victims are the lowest-priority
-    requests first, newest first within a priority, and requests at or
-    above ``no_shed_priority`` are never chosen.  Returns the chosen
-    order keys, at most ``overflow`` of them.
+    ``order_key`` means *newer*; victims are ranked by
+    :func:`shed_order`, and requests at or above ``no_shed_priority``
+    are never chosen.  Returns the chosen order keys, at most
+    ``overflow`` of them.
     """
     if overflow <= 0:
         return []
     sheddable = [(key, request) for key, request in candidates
                  if request.priority < no_shed_priority]
-    ranked = sorted(sheddable, key=lambda kr: (kr[1].priority, -kr[0]))
+    ranked = sorted(sheddable, key=lambda kr: shed_order(*kr))
     return [key for key, _ in ranked[:overflow]]
+
+
+def _require_arrival_order(requests: Sequence[Request]) -> None:
+    """The supervisor's backlog is the arrived prefix of ``requests``:
+    arrivals must be sorted."""
+    for before, after in zip(requests, requests[1:]):
+        if after.arrival_cycle < before.arrival_cycle:
+            raise ValueError(
+                f"request {after.index} arrives at {after.arrival_cycle}, "
+                f"before request {before.index} at {before.arrival_cycle}")
 
 
 @dataclass
@@ -290,20 +307,28 @@ class Supervisor:
 
         ``injector`` is an optional chaos planner exposing
         ``injection_for(request_index) -> Optional[Injection]``; None
-        means production mode.
+        means production mode.  Raises ValueError if ``requests`` are
+        not sorted by ``arrival_cycle``.
         """
         requests = list(requests)
+        _require_arrival_order(requests)
         shed_indices: set = set()
         outcomes: List[RequestOutcome] = []
         n = len(requests)
+        # positions that have arrived and are neither shed nor submitted,
+        # oldest first; arrivals are sorted, so the arrived prefix
+        # [0, arrived) only grows as the clock advances
+        backlog: Dict[int, None] = {}
+        arrived = 0
         for i, request in enumerate(requests):
             if i in shed_indices:
                 continue
             self.clock = max(self.clock, request.arrival_cycle)
             # --- admission control -------------------------------------
-            backlog = [j for j in range(i, n)
-                       if j not in shed_indices
-                       and requests[j].arrival_cycle <= self.clock]
+            while (arrived < n
+                   and requests[arrived].arrival_cycle <= self.clock):
+                backlog[arrived] = None
+                arrived += 1
             overflow = len(backlog) - self.config.queue_limit
             if overflow > 0:
                 victims = shed_victims(
@@ -311,11 +336,13 @@ class Supervisor:
                     self.config.no_shed_priority)
                 for j in victims:
                     shed_indices.add(j)
+                    del backlog[j]
                     victim = requests[j]
                     outcomes.append(self._shed(victim, "admission",
                                                injector))
             if i in shed_indices:
                 continue
+            del backlog[i]
             outcomes.append(self._submit(request, injector))
         self.outcomes.extend(outcomes)
         return outcomes

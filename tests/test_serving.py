@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import ChaosConfig, ChaosInjector
 from repro.params import MachineParams
+from repro.runtime import serving as serving_module
 from repro.runtime import (
     SERVING_SCHEMES,
     FaultKind,
@@ -530,8 +532,7 @@ class TestAdmissionProperty:
         for position, request in enumerate(requests):
             core = position % n_cores
             slot, owner, _ = sim.pool.acquire(core)
-            sim._cores[core].queue.append(
-                _InFlight(request, slot, owner, core))
+            sim._enqueue(_InFlight(request, slot, owner, core))
             sim._inflight += 1
         new = (Request(newcomer[0], "t1", 1000, newcomer[1])
                if newcomer is not None else None)
@@ -555,3 +556,157 @@ class TestAdmissionProperty:
                         for record in core.queue]
         assert shed not in still_queued
         assert sim._inflight == len(still_queued)
+
+
+# ----------------------------------------------------------------------
+# the victim index against the brute-force admission it replaced
+# ----------------------------------------------------------------------
+class BruteForceShedSimulator(ServingSimulator):
+    """Oracle: admission that gathers and ranks every queued record on
+    each call (the O(Q log Q) body the victim index replaced)."""
+
+    def _shed_lowest(self, newcomer=None, injection=None):
+        queued = {
+            record.request.index: record
+            for core in self._cores for record in core.queue}
+        candidates = [(key, record.request)
+                      for key, record in queued.items()]
+        if newcomer is not None:
+            candidates.append((newcomer.index, newcomer))
+        victims = shed_victims(candidates, 1,
+                               self.config.no_shed_priority)
+        if not victims:
+            return None
+        if newcomer is not None and victims[0] == newcomer.index:
+            self._shed(newcomer, injection, "admission")
+            return newcomer
+        record = queued[victims[0]]
+        self._cores[record.core].queue.remove(record)
+        self._release_record(record, quarantine=False)
+        self._shed(record.request, record.injection,
+                   "evicted" if newcomer is None else "admission")
+        return record.request
+
+
+def run_both(requests, config, chaos_seed=None):
+    """Run ``requests`` through the indexed simulator and the oracle
+    (each with its own, identically seeded injector)."""
+    runs = []
+    for cls in (ServingSimulator, BruteForceShedSimulator):
+        injector = None
+        if chaos_seed is not None:
+            injector = ChaosInjector(chaos_seed, ChaosConfig(fault_rate=0.2))
+            injector.plan(max(r.index for r in requests) + 1)
+        sim = cls("hfi", config, MachineParams(), seed=3)
+        metrics = sim.run(requests, injector=injector)
+        outcomes = [(o.request.index, o.status, o.detail, o.attempts,
+                     o.cycles) for o in sim.outcomes]
+        runs.append((outcomes, metrics.digest()))
+    return runs
+
+
+overload_streams = st.lists(
+    st.tuples(st.integers(0, 3_000),                # arrival gap
+              st.sampled_from([Priority.LOW, Priority.NORMAL,
+                               Priority.NORMAL, Priority.HIGH]),
+              st.integers(2_000, 40_000),           # service cycles
+              st.sampled_from(["t0", "t1", "t2"])),
+    min_size=1, max_size=80)
+
+
+class TestVictimIndexDifferential:
+    """The indexed ``_shed_lowest`` must reproduce the brute-force one
+    exactly: same outcome per request, same metrics digest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=overload_streams, data=st.data(),
+           n_cores=st.integers(1, 3), slots_per_shard=st.integers(1, 4),
+           max_inflight=st.integers(1, 12),
+           chaos_seed=st.one_of(st.none(), st.integers(0, 2 ** 16)))
+    def test_index_matches_brute_force(self, stream, data, n_cores,
+                                       slots_per_shard, max_inflight,
+                                       chaos_seed):
+        # request indices are a permutation, so "newest" (largest
+        # index) is not simply "latest to arrive"
+        indices = data.draw(st.permutations(range(len(stream))))
+        requests, clock = [], 0
+        for index, (gap, priority, service, tenant) in zip(indices, stream):
+            clock += gap
+            requests.append(Request(index, tenant, service, priority,
+                                    clock))
+        config = ServingConfig(n_cores=n_cores,
+                               slots_per_shard=slots_per_shard,
+                               max_inflight=max_inflight)
+        indexed, oracle = run_both(requests, config, chaos_seed)
+        assert indexed == oracle
+
+    @pytest.mark.parametrize("slots_per_shard, max_inflight, reason", [
+        (5, 10, "admission"),   # the in-flight bound binds first
+        (3, 10, "evicted"),     # the pool runs dry first: HIGH evicts
+    ])
+    def test_seeded_overload_matches_brute_force(self, slots_per_shard,
+                                                 max_inflight, reason):
+        """A fixed overloaded stream under chaos, in the regime where
+        each shed reason occurs."""
+        rng = random.Random(11)
+        requests, clock = [], 0
+        for index in range(400):
+            clock += rng.randrange(0, 2_000)
+            priority = draw_priority(rng, 0.2, 0.3)
+            requests.append(Request(index, f"t{index % 3}",
+                                    rng.randrange(5_000, 40_000),
+                                    priority, clock))
+        config = ServingConfig(n_cores=2, slots_per_shard=slots_per_shard,
+                               max_inflight=max_inflight)
+        indexed, oracle = run_both(requests, config, chaos_seed=5)
+        assert indexed == oracle
+        assert reason in {detail for _, status, detail, _, _ in indexed[0]
+                          if status == "shed"}
+
+
+class TestVictimIndexBounds:
+    """Structural guard (not a timing test): on an overloaded 16-core
+    node admission ranks at most two candidates per call, and the
+    lazily-deleted heap stays within 2 x live + 64 entries."""
+
+    def test_candidates_and_heap_stay_bounded(self, monkeypatch):
+        excess, compactions = [], []
+
+        class BoundCheckedSimulator(ServingSimulator):
+            def _check(self):
+                excess.append(len(self._victims)
+                              - (2 * len(self._queued) + 64))
+
+            def _enqueue(self, record):
+                super()._enqueue(record)
+                self._check()
+
+            def _unindex(self, record):
+                before = len(self._victims)
+                super()._unindex(record)
+                if len(self._victims) < before:
+                    compactions.append(before)
+                self._check()
+
+        sizes = []
+
+        def counting_shed_victims(candidates, overflow, no_shed_priority):
+            candidates = list(candidates)
+            sizes.append(len(candidates))
+            return shed_victims(candidates, overflow, no_shed_priority)
+
+        monkeypatch.setattr(serving_module, "shed_victims",
+                            counting_shed_victims)
+        cores, slots = 16, 80
+        mean_service = (20_000 + 120_000) / 2.0
+        requests = build_requests(
+            arrival_process("poisson", mean_service / (1.6 * cores), 7),
+            6_000, seed=7, service_cycles=(20_000, 120_000))
+        config = ServingConfig(n_cores=cores, slots_per_shard=slots,
+                               max_inflight=cores * slots)
+        sim = BoundCheckedSimulator("hfi", config, MachineParams(), seed=7)
+        metrics = sim.run(requests)
+        assert metrics.accounted and metrics.shed > 0
+        assert sizes and max(sizes) <= 2
+        assert max(excess) <= 0
+        assert compactions          # the bound was reached and enforced

@@ -6,6 +6,8 @@ the sandbox-manager hardening it rides on (typed ``SandboxError``,
 ``reap_all``, signal-delivered ``invoke_faulting``).
 """
 
+import random
+
 import pytest
 
 from repro.core import FaultCause
@@ -23,6 +25,8 @@ from repro.runtime import (
     Supervisor,
     SupervisorConfig,
     TenantBreaker,
+    draw_priority,
+    shed_victims,
 )
 from repro.verify import check_pool
 from repro.wasm import HfiStrategy
@@ -33,12 +37,12 @@ def params():
     return MachineParams()
 
 
-def build(params, slots=4, config=None, seed=0):
+def build(params, slots=4, config=None, seed=0, supervisor=Supervisor):
     manager = SandboxManager(params)
     pool = InstancePool(manager.space, HfiStrategy(), slots=slots,
                         heap_bytes=1 << 14, params=params,
                         batch_teardown=True)
-    return manager, pool, Supervisor(manager, pool, config, seed=seed)
+    return manager, pool, supervisor(manager, pool, config, seed=seed)
 
 
 def requests(n, tenant="t0", service=40_000, spacing=10**7,
@@ -47,6 +51,39 @@ def requests(n, tenant="t0", service=40_000, spacing=10**7,
     return [Request(index=i, tenant=tenant, service_cycles=service,
                     arrival_cycle=i * spacing, priority=priority)
             for i in range(n)]
+
+
+class FullRescanSupervisor(Supervisor):
+    """Oracle: admission that rescans every later request for the
+    backlog on each arrival (the quadratic loop the forward window
+    replaced)."""
+
+    def serve(self, requests, injector=None):
+        requests = list(requests)
+        shed_indices = set()
+        outcomes = []
+        n = len(requests)
+        for i, request in enumerate(requests):
+            if i in shed_indices:
+                continue
+            self.clock = max(self.clock, request.arrival_cycle)
+            backlog = [j for j in range(i, n)
+                       if j not in shed_indices
+                       and requests[j].arrival_cycle <= self.clock]
+            overflow = len(backlog) - self.config.queue_limit
+            if overflow > 0:
+                victims = shed_victims(
+                    [(j, requests[j]) for j in backlog], overflow,
+                    self.config.no_shed_priority)
+                for j in victims:
+                    shed_indices.add(j)
+                    outcomes.append(self._shed(requests[j], "admission",
+                                               injector))
+            if i in shed_indices:
+                continue
+            outcomes.append(self._submit(request, injector))
+        self.outcomes.extend(outcomes)
+        return outcomes
 
 
 class FakeInjector:
@@ -307,6 +344,40 @@ class TestAdmissionControl:
         sup.serve(stream)
         assert burst.classified == "shed"
         assert sup.counters.shed > 0
+
+    def test_out_of_order_arrivals_rejected(self, params):
+        _, _, sup = build(params)
+        stream = [Request(index=0, tenant="t0", service_cycles=1_000,
+                          arrival_cycle=500),
+                  Request(index=1, tenant="t0", service_cycles=1_000,
+                          arrival_cycle=100)]
+        with pytest.raises(ValueError, match="request 1 arrives at 100"):
+            sup.serve(stream)
+        assert sup.counters.requests == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backlog_window_matches_full_rescan(self, params, seed):
+        """Staggered arrivals under a tight queue_limit: the forward
+        backlog window sheds exactly what a rescan of every later
+        request sheds."""
+        rng = random.Random(seed)
+        stream, clock = [], 0
+        for i in range(120):
+            clock += rng.randrange(0, 25_000)
+            stream.append(Request(
+                index=i, tenant=f"t{i % 3}",
+                service_cycles=rng.randrange(10_000, 60_000),
+                priority=draw_priority(rng, 0.15, 0.35),
+                arrival_cycle=clock))
+        config = SupervisorConfig(queue_limit=3)
+        runs = []
+        for cls in (Supervisor, FullRescanSupervisor):
+            _, _, sup = build(params, config=config, seed=seed,
+                              supervisor=cls)
+            runs.append([(o.request.index, o.status, o.detail, o.attempts,
+                          o.cycles) for o in sup.serve(stream)])
+        assert runs[0] == runs[1]
+        assert any(status == "shed" for _, status, *_ in runs[0])
 
     def test_capacity_exhaustion_sheds_instead_of_crashing(self, params):
         # 1-slot pool, and the slot is quarantined by a guest fault —
