@@ -22,6 +22,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import format_table, format_telemetry
+from .cpu import machine, timing as timing_seam
 from .cpu.machine import (ENGINES, TIMING_MODELS, default_engine,
                           default_timing)
 from .params import MachineParams
@@ -68,17 +69,25 @@ def _run_one(name: str, strategy_name: str, scale: int,
     instance = runtime.instantiate(module, make_strategy(strategy_name))
     result = runtime.run(instance)
     value = runtime.space.read(instance.layout.globals_base)
-    return result, value, instance
+    return result, value, instance, _executed_engine(runtime.cpu)
+
+
+def _executed_engine(cpu) -> str:
+    """The engine that actually ran: ``blocks`` compiles superblocks
+    only under in-order timing and runs the staged loop otherwise."""
+    if cpu.engine == "blocks" and cpu._blocks is None:
+        return "staged"
+    return cpu.engine
 
 
 def cmd_run(args) -> int:
-    result, value, instance = _run_one(args.workload, args.strategy,
-                                       args.scale, engine=args.engine,
-                                       timing=args.timing)
+    result, value, instance, engine = _run_one(
+        args.workload, args.strategy, args.scale, engine=args.engine,
+        timing=args.timing)
     stats = result.stats
     payload = {
         "workload": args.workload, "scale": args.scale,
-        "strategy": args.strategy, "engine": args.engine,
+        "strategy": args.strategy, "engine": engine,
         "timing": args.timing,
         "reason": result.reason,
         "result": value, "cycles": stats.cycles,
@@ -93,7 +102,7 @@ def cmd_run(args) -> int:
     }
     lines = [f"workload:     {args.workload} (scale {args.scale})",
              f"strategy:     {args.strategy}",
-             f"engine:       {args.engine}",
+             f"engine:       {engine}",
              f"timing:       {args.timing}",
              f"stopped:      {result.reason}"]
     if result.fault is not None:
@@ -118,8 +127,8 @@ def cmd_compare(args) -> int:
     baseline = None
     values = set()
     for strategy_name in names:
-        result, value, instance = _run_one(args.workload, strategy_name,
-                                           args.scale)
+        result, value, instance, _ = _run_one(args.workload,
+                                              strategy_name, args.scale)
         values.add(value)
         cycles = result.stats.cycles
         if baseline is None:
@@ -446,12 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON instead of tables")
     # Shared by every subcommand that executes instructions.
     engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--engine", default="staged",
+    engine.add_argument("--engine", default=machine.DEFAULT_ENGINE,
                         choices=sorted(ENGINES),
-                        help="execution backend (default: staged)")
-    engine.add_argument("--timing", default="inorder",
+                        help="execution backend "
+                             f"(default: {machine.DEFAULT_ENGINE})")
+    engine.add_argument("--timing", default=timing_seam.DEFAULT_TIMING,
                         choices=sorted(TIMING_MODELS),
-                        help="timing backend (default: inorder)")
+                        help="timing backend "
+                             f"(default: {timing_seam.DEFAULT_TIMING})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list-workloads",

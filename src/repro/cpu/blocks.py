@@ -19,9 +19,11 @@ to locals:
   instruction in the same block provably overwrites all four flags
   before anything can observe them; memory shapes (``mov``/``hmov``
   with one memory operand, ``push``/``pop``) get the whole access path
-  inlined — effective address, HFI implicit check, VMA/pkey check, and
-  the dTLB/L1D hit fast paths from ``TimingModel.mem_access`` — with
-  only VMA lookup, misses, and the raw byte read/write left as calls;
+  inlined — effective address, HFI implicit check, the address
+  space's grant-cache hit and the pkey check, and the dTLB/L1D hit fast
+  paths from ``TimingModel.mem_access`` — with only grant-cache misses
+  (the full ``check_access``), dTLB/L1D misses, and the raw byte
+  read/write left as calls;
 * every other block-safe handler is called through its precompiled
   ``DecodedOp.run`` closure, pre-bound as a default argument.
 
@@ -57,7 +59,7 @@ from ..core.checks import implicit_data_check
 from ..isa.opcodes import HMOV_REGION, Opcode
 from ..isa.operands import Imm, Mem
 from ..isa.registers import MASK64, Reg
-from ..os.address_space import AccessKind, PageFault
+from ..os.address_space import PAGE, AccessKind, PageFault
 from ..telemetry.stats import SuperblockStats
 from .decode import BLOCK_SAFE, DecodedOp
 
@@ -196,7 +198,12 @@ def _emit_access_checks(b: _SourceBuilder, out: List[str], size: int,
         out.append("if HREGS.enabled:")
         out.append(f"    HCHECK(HREGS.data, ea, {size}, {is_write})")
     kind = "AK_WR" if is_write else "AK_RD"
-    out.append(f"vma = CHK(ea, {size}, {kind})")
+    # Grant-cache hit inlined from ``AddressSpace.check_access``; a miss
+    # (or an access running past the cached VMA) takes the full check.
+    grant = "GWR" if is_write else "GRD"
+    out.append(f"vma = {grant}(ea // {PAGE})")
+    out.append(f"if vma is None or ea + {size} > vma.end:")
+    out.append(f"    vma = CHK(ea, {size}, {kind})")
     # ``enforce_pkeys`` is fixed at construction (process-attached
     # cores only), so a False value elides the whole pkey test — like
     # every baked constant, it is compile-time state (see module doc).
@@ -518,6 +525,9 @@ def compile_superblock(cpu, dops: List[DecodedOp]) -> Superblock:
     if uses_mem:
         l1d = cpu.caches.l1d
         b.bind("CHK", cpu.mem.check_access)
+        grants = cpu.mem.grants             # cleared in place
+        b.bind("GRD", grants[AccessKind.READ].get)
+        b.bind("GWR", grants[AccessKind.WRITE].get)
         b.bind("MEMRD", cpu.mem.read)
         b.bind("MEMWR", cpu.mem.write)
         b.bind("PAGES", cpu.tlb._pages)     # shootdown clears in place

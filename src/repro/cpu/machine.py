@@ -125,10 +125,12 @@ class ExecutionBackend(Protocol):
     Three conforming backends ship today, all selected through
     ``Cpu(engine=...)`` (or the ``--engine`` CLI flag):
 
-    * ``"staged"`` — the per-instruction commit loop over predecoded
-      :class:`~repro.cpu.decode.DecodedOp` closures (the default);
     * ``"blocks"`` — the staged loop plus superblock compilation of
-      basic blocks (:mod:`repro.cpu.blocks`);
+      basic blocks (:mod:`repro.cpu.blocks`); the default.  Under a
+      non-inline timing backend (``ooo``) it runs the staged loop;
+    * ``"staged"`` — the per-instruction commit loop over predecoded
+      :class:`~repro.cpu.decode.DecodedOp` closures, which is also the
+      single-step fallback inside ``blocks`` for cold code;
     * ``"reference"`` — the deliberately naive differential oracle
       (:class:`repro.verify.reference.ReferenceCpu`).
 
@@ -152,11 +154,13 @@ class ExecutionBackend(Protocol):
 #: Engines selectable via ``Cpu(engine=...)`` / ``--engine``.
 ENGINES = ("staged", "blocks", "reference")
 
-#: Process-wide default, used when ``engine`` is not passed explicitly.
-#: The CLI/golden runner thread their ``--engine`` flag through
-#: :func:`default_engine` so deeply nested construction sites (wasm
-#: runtime, workloads, attacks) pick it up without plumbing.
-DEFAULT_ENGINE = "staged"
+#: Process-wide default, used when ``engine`` is not passed explicitly:
+#: ``blocks``, the fastest engine, held bit-identical to ``staged`` by
+#: the golden-cycle fixture.  The CLI/golden runner thread their
+#: ``--engine`` flag through :func:`default_engine` so deeply nested
+#: construction sites (wasm runtime, workloads, attacks) pick it up
+#: without plumbing.
+DEFAULT_ENGINE = "blocks"
 
 
 def _validate_engine(engine: str) -> str:

@@ -13,6 +13,12 @@ paper's evaluation depends on:
 Mappings are tracked as VMAs (interval records) so that terabyte-scale
 reservations cost O(1); page *contents* are allocated lazily on first
 write, so only touched pages consume host memory.
+
+Every data access goes through :meth:`AddressSpace.check_access`.  A
+per-kind *grant cache* maps a page number to the VMA that already
+passed that kind's permission check there, so a repeat access to the
+same page skips the ``bisect`` lookup.  Any change to the VMA list
+clears it (see :meth:`AddressSpace._insert`).
 """
 
 from __future__ import annotations
@@ -126,20 +132,41 @@ class AddressSpace:
         self._vmas: List[Vma] = []
         self._starts: List[int] = []
         self._pages: Dict[int, bytearray] = {}
+        #: Grant cache: per access kind, page number -> the VMA that
+        #: granted that kind on the page.  The dicts are cleared in
+        #: place, never rebound — compiled superblocks hold their
+        #: ``.get`` methods (:mod:`repro.cpu.blocks`).
+        self.grants: Dict[AccessKind, Dict[int, Vma]] = {
+            kind: {} for kind in AccessKind}
+        #: Whether any grant was cached since the last clear, so VMA
+        #: churn with no accesses between (sandbox reservation) skips
+        #: the clearing.
+        self._granted = False
         self._mmap_next = self.MMAP_BASE
         self.concurrent = False  # multi-threaded: unmap => TLB shootdown
 
     # ------------------------------------------------------------------
     # VMA bookkeeping
     # ------------------------------------------------------------------
+    # ``_insert`` and ``_remove_index`` are the only mutators of the
+    # VMA list, so they are where the grant cache is invalidated.
     def _insert(self, vma: Vma) -> None:
         idx = bisect.bisect_left(self._starts, vma.start)
         self._vmas.insert(idx, vma)
         self._starts.insert(idx, vma.start)
+        if self._granted:
+            self._clear_grants()
 
     def _remove_index(self, idx: int) -> None:
         del self._vmas[idx]
         del self._starts[idx]
+        if self._granted:
+            self._clear_grants()
+
+    def _clear_grants(self) -> None:
+        for granted in self.grants.values():
+            granted.clear()
+        self._granted = False
 
     def find_vma(self, addr: int) -> Optional[Vma]:
         """Return the VMA containing ``addr``, if any."""
@@ -336,7 +363,19 @@ class AddressSpace:
     # access checks and data
     # ------------------------------------------------------------------
     def check_access(self, addr: int, size: int, kind: AccessKind) -> Vma:
-        """Verify an access is permitted; raise :class:`PageFault` if not."""
+        """Verify an access is permitted; raise :class:`PageFault` if not.
+
+        A grant-cache hit needs no further test beyond ``addr + size <=
+        vma.end``: VMAs are page-aligned, so the cached VMA contains
+        ``addr``, which is therefore canonical and mapped, and the
+        access cannot straddle.  Everything else takes the full check,
+        which fills the cache on success.
+        """
+        granted = self.grants[kind]
+        page = addr // PAGE
+        vma = granted.get(page)
+        if vma is not None and addr + size <= vma.end:
+            return vma
         if addr < 0 or addr + size > self.user_va_limit:
             raise PageFault(addr, kind, "non-canonical address")
         vma = self.find_vma(addr)
@@ -350,6 +389,8 @@ class AddressSpace:
                 raise PageFault(vma.end, kind, "straddles unmapped/guard")
         if not vma.prot._value_ & required:
             raise PageFault(addr, kind, f"protection ({vma.prot!r})")
+        granted[page] = vma
+        self._granted = True
         return vma
 
     def _page(self, number: int) -> bytearray:

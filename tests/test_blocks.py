@@ -34,7 +34,7 @@ from repro.cpu.machine import (
     default_engine,
 )
 from repro.isa import Assembler, Imm, Mem, Reg
-from repro.os import AddressSpace, Prot
+from repro.os import AccessKind, AddressSpace, Process, Prot
 from repro.params import MachineParams
 from repro.verify.fuzz_isa import run_seeds
 from repro.verify.reference import ReferenceCpu
@@ -117,10 +117,10 @@ class TestBackendApi:
             Cpu(engine="Staged")
 
     def test_default_engine_scoping(self, params):
-        assert Cpu(params).engine == DEFAULT_ENGINE
-        with default_engine("blocks"):
-            assert Cpu(params).engine == "blocks"
-            assert Cpu(params, engine="staged").engine == "staged"
+        assert Cpu(params).engine == DEFAULT_ENGINE == "blocks"
+        with default_engine("staged"):
+            assert Cpu(params).engine == "staged"
+            assert Cpu(params, engine="blocks").engine == "blocks"
         assert Cpu(params).engine == DEFAULT_ENGINE
 
     def test_staged_engine_has_no_block_cache(self, params):
@@ -238,6 +238,83 @@ class TestInvalidation:
         cache.clear()
         assert not cache.table and not cache.owners
         assert not cache.heat and not cache.goal
+
+
+#: VM changes to the heap page a compiled block loads from and stores
+#: to; each must reach the block through the grant cache's
+#: invalidation, faulting exactly where the staged loop faults.
+def _revoke_none(cpu):
+    cpu.mem.mprotect(HEAP, 0x1000, Prot.NONE)
+
+
+def _revoke_write(cpu):
+    cpu.mem.mprotect(HEAP, 0x1000, Prot.READ)
+
+
+def _unmap(cpu):
+    cpu.mem.munmap(HEAP, 0x1000)
+
+
+def _deny_pkey(cpu):
+    cpu.process.pkru = 0b01 << 2            # access-disable for key 1
+    cpu.mem.set_pkey(HEAP, 0x1000, 1)
+
+
+class TestGrantCacheCoherence:
+    @pytest.mark.parametrize("revoke", [_revoke_none, _revoke_write,
+                                        _unmap, _deny_pkey])
+    def test_vm_change_under_compiled_block(self, params, eager, revoke):
+        program = _hot_loop(200)
+        results = {}
+        for engine in ("staged", "blocks"):
+            mem = AddressSpace(params)
+            cpu = Cpu(params, process=Process(pid=1, address_space=mem),
+                      engine=engine)
+            mem.mmap(1 << 16, Prot.rw(), addr=HEAP)
+            cpu.load_program(program)
+            assert cpu.run(program.base).reason == "hlt"
+            assert HEAP // 0x1000 in mem.grants[AccessKind.WRITE]
+            revoke(cpu)
+            if engine == "blocks":
+                assert isinstance(cpu._blocks.table.get(program.base),
+                                  Superblock)
+                executions = cpu._blocks.executions
+            result = cpu.run(program.base)
+            assert result.reason == "fault"
+            assert result.fault.kind == "page"
+            if engine == "blocks":          # the fault unwound a block
+                assert cpu._blocks.executions == executions + 1
+            results[engine] = (result.fault, result.rip,
+                               dataclasses.asdict(cpu.stats),
+                               _digest(cpu))
+        assert results["staged"] == results["blocks"]
+
+    def test_straddle_past_granted_page_matches_staged(self, params,
+                                                       eager):
+        # Each iteration's first load grants its page; the second reads
+        # 8 bytes at offset 0xffc of the same page, which straddles off
+        # the end of the heap mapping on the last page.
+        asm = Assembler()
+        asm.mov(Reg.RBX, Imm(HEAP + (1 << 16) - 8 * 0x1000))
+        asm.mov(Reg.RCX, Imm(16))
+        asm.label("loop")
+        asm.mov(Reg.RDX, Mem(base=Reg.RBX, disp=0))
+        asm.mov(Reg.RSI, Mem(base=Reg.RBX, disp=0xFFC))
+        asm.add(Reg.RBX, Imm(0x1000))
+        asm.dec(Reg.RCX)
+        asm.jne("loop")
+        asm.hlt()
+        program = asm.assemble()
+        results = {}
+        for engine in ("staged", "blocks"):
+            cpu = make_cpu(params, engine)
+            cpu.load_program(program)
+            result = cpu.run(program.base)
+            assert result.reason == "fault"
+            assert result.fault.addr == HEAP + (1 << 16)
+            assert "straddles" in result.fault.detail
+            results[engine] = (result.fault, result.rip, _digest(cpu))
+        assert results["staged"] == results["blocks"]
 
 
 class TestSpeculationAndJournal:

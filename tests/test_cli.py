@@ -1,8 +1,12 @@
 """Tests for the repro-hfi command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.cpu import machine, timing
+from repro.cpu.machine import default_engine
 
 
 class TestCli:
@@ -106,3 +110,38 @@ class TestCli:
         # the serving path prices costs and never runs the CPU
         with pytest.raises(SystemExit):
             main(["serve", "--engine", "blocks"])
+
+
+class TestEngineFlags:
+    @staticmethod
+    def run_json(capsys, *flags):
+        assert main(["run", "fib2", "--json", *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_run_uses_the_process_defaults(self, capsys):
+        payload = self.run_json(capsys)
+        assert payload["engine"] == machine.DEFAULT_ENGINE == "blocks"
+        assert payload["timing"] == timing.DEFAULT_TIMING == "inorder"
+
+    def test_flag_defaults_follow_the_process_default(self, capsys):
+        with default_engine("staged"):
+            assert self.run_json(capsys)["engine"] == "staged"
+            with pytest.raises(SystemExit):
+                main(["run", "--help"])
+        assert "(default: staged)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("engine, timing_model, executed", [
+        ("blocks", "inorder", "blocks"),
+        ("blocks", "ooo", "staged"),       # blocks runs staged under ooo
+        ("staged", "inorder", "staged"),
+        ("staged", "ooo", "staged"),
+    ])
+    def test_run_reports_the_engine_that_executed(
+            self, capsys, engine, timing_model, executed):
+        payload = self.run_json(capsys, "--engine", engine,
+                                "--timing", timing_model)
+        assert payload["engine"] == executed
+        assert payload["timing"] == timing_model
+        assert main(["run", "fib2", "--engine", engine,
+                     "--timing", timing_model]) == 0
+        assert f"engine:       {executed}\n" in capsys.readouterr().out

@@ -1,6 +1,10 @@
 """Unit tests for the virtual-memory substrate."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.os import (
     PAGE,
@@ -141,3 +145,134 @@ class TestAccess:
         addr = space.mmap(PAGE, Prot.rw())
         space.write_bytes(addr, b"hello world")
         assert space.read_bytes(addr, 11) == b"hello world"
+
+
+# ----------------------------------------------------------------------
+# grant cache: a cached check_access must equal the full check
+# ----------------------------------------------------------------------
+WINDOW = 0x7000_0000          # probes and VM ops stay in 12 pages here
+WINDOW_PAGES = 12
+PROTS = [Prot.NONE, Prot.READ, Prot.rw(), Prot.rx(),
+         Prot.READ | Prot.WRITE | Prot.EXEC]
+REQUIRED = {AccessKind.READ: Prot.READ, AccessKind.WRITE: Prot.WRITE,
+            AccessKind.EXEC: Prot.EXEC}
+
+first_page = st.integers(0, WINDOW_PAGES - 1)
+pages = st.integers(1, 6)
+
+
+def _outcome(space, addr, size, kind):
+    try:
+        return space.check_access(addr, size, kind)
+    except PageFault as fault:
+        return ("fault", fault.addr, fault.kind, fault.reason)
+
+
+class GrantCacheMachine(RuleBasedStateMachine):
+    """Random VM changes interleaved with access probes, run on a
+    cached space and on an oracle whose cache is cleared before every
+    probe (so it always takes the full check)."""
+
+    def __init__(self):
+        super().__init__()
+        self.cached = AddressSpace(MachineParams())
+        self.oracle = AddressSpace(MachineParams())
+        self.grants = dict(self.cached.grants)
+
+    @initialize(prots=st.lists(st.sampled_from(PROTS), min_size=3,
+                               max_size=3))
+    def layout(self, prots):
+        # three 2-page mappings with holes between them
+        for i, prot in enumerate(prots):
+            self.mmap(4 * i, 2, prot)
+
+    def _both(self, op, page, count, *args):
+        for space in (self.cached, self.oracle):
+            try:
+                getattr(space, op)(WINDOW + page * PAGE, count * PAGE,
+                                   *args)
+            except (ValueError, PageFault):
+                pass            # overlapping mmap / mprotect of a hole
+
+    @rule(page=first_page, count=pages, prot=st.sampled_from(PROTS))
+    def mmap(self, page, count, prot):
+        for space in (self.cached, self.oracle):
+            try:
+                space.mmap(count * PAGE, prot, addr=WINDOW + page * PAGE)
+            except ValueError:
+                pass
+
+    @rule(page=first_page, count=pages, prot=st.sampled_from(PROTS))
+    def mprotect(self, page, count, prot):
+        self._both("mprotect", page, count, prot)
+
+    @rule(page=first_page, count=pages)
+    def munmap(self, page, count):
+        self._both("munmap", page, count)
+
+    @rule(page=first_page, count=pages, pkey=st.integers(0, 3))
+    def set_pkey(self, page, count, pkey):
+        self._both("set_pkey", page, count, pkey)
+
+    @rule(page=first_page, count=pages)
+    def madvise_dontneed(self, page, count):
+        self._both("madvise_dontneed", page, count)
+
+    # Each probe sweeps one page: a one-byte access at its start warms
+    # the cache, then every (offset, size) pair runs twice, the repeat
+    # hitting the cache.  Offsets near the page end straddle into the
+    # next page: mapped, guard or hole (the last page is always a hole).
+    @rule(page=st.integers(0, WINDOW_PAGES),
+          kind=st.sampled_from(list(AccessKind)))
+    def probe(self, page, kind):
+        base = WINDOW + page * PAGE
+        accesses = [(base, 1)] + [
+            (base + offset, size)
+            for offset in (0, 8, 100, PAGE - 8, PAGE - 4, PAGE - 1)
+            for size in (1, 2, 4, 8) for _ in range(2)]
+        for addr, size in accesses:
+            self.oracle._clear_grants()
+            assert (_outcome(self.cached, addr, size, kind)
+                    == _outcome(self.oracle, addr, size, kind))
+
+    @invariant()
+    def grants_are_live_and_keep_identity(self):
+        assert self.cached.grants.keys() == self.grants.keys()
+        for kind, granted in self.cached.grants.items():
+            assert granted is self.grants[kind]
+            for number, vma in granted.items():
+                assert self.cached.find_vma(number * PAGE) == vma
+                assert vma.prot & REQUIRED[kind]
+
+
+TestGrantCacheDifferential = GrantCacheMachine.TestCase
+TestGrantCacheDifferential.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None)
+
+
+class TestGrantCache:
+    def test_every_vma_change_invalidates(self, space):
+        addr = space.mmap(2 * PAGE, Prot.rw(), addr=WINDOW)
+        read = space.grants[AccessKind.READ]
+        space.check_access(addr, 8, AccessKind.READ)
+        assert read
+        space.madvise_dontneed(addr, PAGE)          # contents only
+        assert read
+        space.mprotect(addr, PAGE, Prot.NONE)
+        assert not read and space.grants[AccessKind.READ] is read
+        with pytest.raises(PageFault):
+            space.check_access(addr, 8, AccessKind.READ)
+        # unmapping a whole VMA removes it without inserting a remnant
+        space.check_access(addr + PAGE, 8, AccessKind.READ)
+        space.munmap(addr + PAGE, PAGE)
+        with pytest.raises(PageFault, match="unmapped"):
+            space.check_access(addr + PAGE, 8, AccessKind.READ)
+
+    def test_non_canonical_and_negative_addresses_miss(self):
+        space = AddressSpace(MachineParams(), va_bits=33)
+        top = space.mmap(PAGE, Prot.rw(), addr=(1 << 33) - PAGE)
+        space.check_access(top, 8, AccessKind.READ)
+        for addr in (top + PAGE - 4, -8):
+            with pytest.raises(PageFault) as excinfo:
+                space.check_access(addr, 8, AccessKind.READ)
+            assert excinfo.value.reason == "non-canonical address"
