@@ -4,8 +4,8 @@ The cycle-level simulator's value rests on *reproducible* timing: a
 refactor of the interpreter must not move a single cycle, or every
 figure the repo reproduces silently drifts.  This module defines a
 fixed set of representative workloads — a Sightglass subset, a SPEC
-mix, an NGINX-shaped sandbox-transition loop, and a Spectre-PHT attack
-run — and reduces each to a flat dict of counters
+mix, an NGINX-shaped sandbox-transition loop, and Spectre-PHT/BTB/RSB
+attack runs — and reduces each to a flat dict of counters
 (:class:`~repro.cpu.machine.CpuStats` plus workload-specific results).
 
 ``scripts/gen_golden_cycles.py`` freezes these into
@@ -173,12 +173,15 @@ def _nginx_request_grid() -> Metrics:
 
 
 # ----------------------------------------------------------------------
-# Spectre-PHT attack runs
+# Spectre attack runs
 # ----------------------------------------------------------------------
-def _spectre_pht(protect_with_hfi: bool) -> Metrics:
-    from ..attacks.spectre_pht import SpectrePhtAttack
+def _spectre(kind: str, protect_with_hfi: bool, **kwargs) -> Metrics:
+    from ..attacks import (SpectreBtbAttack, SpectrePhtAttack,
+                           SpectreRsbAttack)
 
-    attack = SpectrePhtAttack(protect_with_hfi=protect_with_hfi)
+    cls = {"pht": SpectrePhtAttack, "btb": SpectreBtbAttack,
+           "rsb": SpectreRsbAttack}[kind]
+    attack = cls(protect_with_hfi=protect_with_hfi, **kwargs)
     outcome = attack.attack(secret_value=ord("I"))
     metrics = _stats_dict(attack.cpu.stats)
     metrics["leaked_value"] = outcome.leaked_value
@@ -210,9 +213,15 @@ GOLDEN_WORKLOADS: Dict[str, Callable[[], Metrics]] = {
     # transitions + analytic NGINX grid
     "nginx_transition_loop": _transition_loop,
     "nginx_request_grid": _nginx_request_grid,
-    # Spectre-PHT: the channel open, then closed by HFI
-    "spectre_pht_unprotected": lambda: _spectre_pht(False),
-    "spectre_pht_hfi": lambda: _spectre_pht(True),
+    # Spectre-PHT/BTB/RSB: the channel open, then closed by HFI
+    "spectre_pht_unprotected": lambda: _spectre("pht", False),
+    "spectre_pht_hfi": lambda: _spectre("pht", True),
+    "spectre_btb_unprotected": lambda: _spectre("btb", False),
+    "spectre_btb_hfi": lambda: _spectre("btb", True),
+    "spectre_btb_hfi_gadget_outside_code": lambda: _spectre(
+        "btb", True, gadget_in_code_region=False),
+    "spectre_rsb_unprotected": lambda: _spectre("rsb", False),
+    "spectre_rsb_hfi": lambda: _spectre("rsb", True),
 }
 
 
