@@ -1,20 +1,15 @@
 """Spectre attack suite (SafeSide / TransientFail analogues, §5.3)."""
 
-from .cache_channel import (
-    PROBE_SLOTS,
-    PROBE_STRIDE,
-    ProbeArray,
-    flush_probe,
-    hit_threshold,
-    recover_byte,
-    reload_latencies,
-)
+from .harness import AttackResult, SpectreHarness
 from .spectre_btb import SpectreBtbAttack
-from .spectre_pht import AttackResult, SpectrePhtAttack
+from .spectre_pht import SpectrePhtAttack
 from .spectre_rsb import SpectreRsbAttack
 
+#: Attack kind -> PoC class, as ``repro-hfi attack`` names them.
+ATTACKS = {"pht": SpectrePhtAttack, "btb": SpectreBtbAttack,
+           "rsb": SpectreRsbAttack}
+
 __all__ = [
-    "ProbeArray", "flush_probe", "reload_latencies", "hit_threshold",
-    "recover_byte", "PROBE_SLOTS", "PROBE_STRIDE", "AttackResult",
-    "SpectrePhtAttack", "SpectreBtbAttack", "SpectreRsbAttack",
+    "AttackResult", "SpectreHarness", "SpectrePhtAttack",
+    "SpectreBtbAttack", "SpectreRsbAttack", "ATTACKS",
 ]

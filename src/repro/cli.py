@@ -22,6 +22,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import format_table, format_telemetry
+from .attacks import ATTACKS
 from .cpu import machine, timing as timing_seam
 from .cpu.machine import (ENGINES, TIMING_MODELS, default_engine,
                           default_timing)
@@ -153,11 +154,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    from .attacks import (SpectreBtbAttack, SpectrePhtAttack,
-                          SpectreRsbAttack)
-    cls = {"pht": SpectrePhtAttack, "btb": SpectreBtbAttack,
-           "rsb": SpectreRsbAttack}[args.kind]
-    attack = cls(MachineParams(), protect_with_hfi=args.hfi)
+    attack = ATTACKS[args.kind](MachineParams(), protect_with_hfi=args.hfi)
     result = attack.attack(secret_value=ord(args.secret))
     shield = "with HFI" if args.hfi else "without HFI"
     print(f"Spectre-{args.kind.upper()} {shield}:")
@@ -314,7 +311,7 @@ def cmd_verify(args) -> int:
 
     Exit status 0 iff the run is clean: zero staged-vs-reference
     divergences, zero unclassified comparator disagreements, zero
-    poison hits, zero invariant violations."""
+    poison hits, zero invariant violations, zero attack mismatches."""
     from .verify import run_verify
 
     if args.seeds < 1:
@@ -348,6 +345,8 @@ def cmd_verify(args) -> int:
         f"(violations: {report['invariant_violations']})",
         f"determinism runs:  {report['determinism']['runs']} "
         f"(mismatches: {report['determinism']['mismatches']})",
+        f"attack runs:       {report['attacks']['runs']} "
+        f"(mismatches: {report['attacks']['mismatches']})",
         f"verdict:           {'CLEAN' if stats.clean else 'DIRTY'}",
     ]
     lines += [f"  FAIL: {failure}" for failure in report["failures"]]
@@ -486,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("attack", help="run a Spectre PoC")
-    p.add_argument("kind", choices=["pht", "btb", "rsb"])
+    p.add_argument("kind", choices=list(ATTACKS))
     p.add_argument("--hfi", action="store_true",
                    help="protect the victim with HFI regions")
     p.add_argument("--secret", default="I")

@@ -40,7 +40,6 @@ from ..core.faults import FaultCause, HfiFault
 from ..core.regions import RegionError
 from ..core.state import HfiState
 from ..isa.instruction import Instruction, Program
-from ..isa.operands import Imm, Mem
 from ..isa.registers import MASK64, Reg, RegisterFile
 from ..os.address_space import AccessKind, AddressSpace, PageFault
 from ..os.kernel import Kernel
@@ -605,30 +604,10 @@ class Cpu:
     # ------------------------------------------------------------------
     # memory path
     # ------------------------------------------------------------------
-    def _effective_address(self, mem: Mem) -> int:
-        ea = mem.disp
-        if mem.base is not None:
-            ea += self.regs.read(mem.base)
-        if mem.index is not None:
-            ea += self.regs.read(mem.index) * mem.scale
-        return ea & MASK64
-
-    def _charge_mem(self, ea: int) -> None:
-        self.timing.mem_access(ea)
-
-    def _check_pkey(self, ea: int, size: int, kind: AccessKind):
-        vma = self.mem.check_access(ea, size, kind)
-        if (self.enforce_pkeys and self.process is not None
-                and self.process.pkru and vma.pkey):
-            bits = (self.process.pkru >> (2 * vma.pkey)) & 0b11
-            if bits & 0b01 or (kind is AccessKind.WRITE and bits & 0b10):
-                raise PageFault(ea, kind, f"pkey {vma.pkey} denied")
-        return vma
-
     def _load_ea(self, ea: int, size: int) -> int:
         """Data load at a resolved (and HFI-checked) address."""
-        # _check_pkey, inlined (once per load): the common case is no
-        # pkey restriction on the touched VMA.
+        # The pkey test runs once per load: the common case is no pkey
+        # restriction on the touched VMA.
         vma = self.mem.check_access(ea, size, _READ)
         if self.enforce_pkeys and vma.pkey:
             process = self.process
@@ -676,50 +655,3 @@ class Cpu:
         if self._speculative:
             self._journal.entries.append((reg, self.regs.regs[reg]))
         self.regs.regs[reg] = value & MASK64
-
-    # Operand-level compat wrappers (the exec layer uses decode-time
-    # accessor closures instead; these remain for external callers).
-    def _load(self, mem: Mem, hmov_region: Optional[int] = None) -> int:
-        if hmov_region is not None:
-            index_val = (self.regs.read(mem.index)
-                         if mem.index is not None else 0)
-            ea = self.hfi.hmov_address(hmov_region, index_val, mem.scale,
-                                       mem.disp, mem.size, is_write=False)
-        else:
-            ea = self._effective_address(mem)
-            self.hfi.check_data_access(ea, mem.size, is_write=False)
-        return self._load_ea(ea, mem.size)
-
-    def _store(self, mem: Mem, value: int,
-               hmov_region: Optional[int] = None) -> None:
-        if hmov_region is not None:
-            index_val = (self.regs.read(mem.index)
-                         if mem.index is not None else 0)
-            ea = self.hfi.hmov_address(hmov_region, index_val, mem.scale,
-                                       mem.disp, mem.size, is_write=True)
-        else:
-            ea = self._effective_address(mem)
-            self.hfi.check_data_access(ea, mem.size, is_write=True)
-        self._store_ea(ea, mem.size, value)
-
-    def _read_operand(self, op, hmov_region: Optional[int] = None) -> int:
-        if isinstance(op, Reg):
-            return self.regs.read(op)
-        if isinstance(op, Imm):
-            return op.value & MASK64
-        if isinstance(op, Mem):
-            return self._load(op, hmov_region)
-        raise TypeError(f"unreadable operand {op!r}")
-
-    def _write_operand(self, op, value: int,
-                       hmov_region: Optional[int] = None) -> None:
-        if isinstance(op, Reg):
-            self.regs.write(op, value)
-        elif isinstance(op, Mem):
-            self._store(op, value, hmov_region)
-        else:
-            raise TypeError(f"unwritable operand {op!r}")
-
-    def _dispatch(self, ins: Instruction, pc: int) -> None:
-        """Compat shim: decode (cached) and execute one instruction."""
-        decode_one(ins, pc).run(self)

@@ -55,8 +55,7 @@ class InvokeResult:
     Field names shared with :class:`repro.cpu.machine.RunResult`
     (``reason``, ``cycles``, ``fault``) so analysis code can consume
     either interchangeably; the extra fields break the total down the
-    way Fig. 5 does.  ``int(result)`` and comparisons keep old
-    cycle-count call sites working.
+    way Fig. 5 does.
     """
 
     reason: str
@@ -72,43 +71,6 @@ class InvokeResult:
     #: Pool bookkeeping, set only by :meth:`SandboxManager.invoke_pooled`.
     slot_index: Optional[int] = None
     recycle_cycles: int = 0
-
-    def __int__(self) -> int:
-        return self.cycles
-
-    def __index__(self) -> int:
-        return self.cycles
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, float)):
-            return self.cycles == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self.cycles < int(other)
-
-    def __le__(self, other):
-        return self.cycles <= int(other)
-
-    def __gt__(self, other):
-        return self.cycles > int(other)
-
-    def __ge__(self, other):
-        return self.cycles >= int(other)
-
-    def __add__(self, other):
-        return self.cycles + int(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.cycles - int(other)
-
-    def __rsub__(self, other):
-        return int(other) - self.cycles
-
-    def __hash__(self):
-        return hash((self.sandbox_id, self.invocation, self.cycles))
 
     def as_dict(self) -> dict:
         return {

@@ -451,6 +451,8 @@ class VerifyStats(ComponentStats):
     permission, va-width — is an understood design limit; an
     unclassified one is a bug).  ``poison_hits`` and the invariant
     counters come from the sanitizer probes in ``verify.invariants``.
+    ``attack_runs`` counts Spectre PoC runs, ``attack_mismatches`` how
+    many leaked differently from the §5.3 expectation.
     """
 
     oracle_runs: int = 0
@@ -469,6 +471,8 @@ class VerifyStats(ComponentStats):
     chaos_zombie_sandboxes: int = 0
     determinism_runs: int = 0
     determinism_mismatches: int = 0
+    attack_runs: int = 0
+    attack_mismatches: int = 0
 
     @property
     def clean(self) -> bool:
@@ -479,4 +483,5 @@ class VerifyStats(ComponentStats):
                 and self.chaos_faults_unaccounted == 0
                 and self.chaos_leaked_slots == 0
                 and self.chaos_zombie_sandboxes == 0
-                and self.determinism_mismatches == 0)
+                and self.determinism_mismatches == 0
+                and self.attack_mismatches == 0)

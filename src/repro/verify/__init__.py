@@ -18,6 +18,8 @@ recycling runtime:
 * a short :mod:`repro.chaos` soak — seeded fault injection through the
   supervised runtime, gated on zero leaked slots, zero zombie
   sandboxes, and a fully accounted fault ledger.
+* the §5.3 security claim — every Spectre PoC leaks its secret without
+  HFI and leaks nothing with it, in every timed (engine, timing) cell.
 
 ``run_verify`` bundles all of it into one :class:`VerifyStats`
 verdict; the ``repro-hfi verify`` CLI subcommand and the CI ``verify``
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..params import MachineParams
+from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.stats import VerifyStats
 from .fuzz_checks import (
     AGREE,
@@ -301,6 +303,58 @@ def _determinism_smoke(stats: VerifyStats, failures: List[str],
                 f"FaaS model not deterministic for seed {seed}")
 
 
+#: The attack smoke's runs: (kind in ``repro.attacks.ATTACKS``,
+#: constructor arguments, HFI settings).  A gadget outside the code
+#: regions only means something under HFI.
+ATTACK_CASES = (
+    ("pht", {}, (False, True)),
+    ("btb", {}, (False, True)),
+    ("btb", {"gadget_in_code_region": False}, (True,)),
+    ("rsb", {}, (False, True)),
+)
+ATTACK_SECRET = ord("I")
+
+
+def _expected_leak(secret: int, protect_with_hfi: bool) -> Optional[int]:
+    """§5.3: the secret leaks without HFI; with HFI nothing leaks."""
+    return None if protect_with_hfi else secret
+
+
+def _attack_smoke(stats: VerifyStats, failures: List[str],
+                  engines: Tuple[str, ...], timings: Tuple[str, ...],
+                  params: Optional[MachineParams] = None) -> List[str]:
+    """Run every :data:`ATTACK_CASES` entry in every (engine, timing)
+    cell except ``reference``, which has no caches to probe.  A run
+    matches when it leaks exactly what :func:`_expected_leak` says and,
+    when nothing should leak, no probe latency reaches the threshold.
+    Returns the cells it ran."""
+    from ..attacks import ATTACKS
+    from ..cpu.machine import default_engine, default_timing
+
+    cells = [(e, t) for e, t in build_matrix(engines, timings)
+             if e != "reference"]
+    for engine, timing in cells:
+        with default_engine(engine), default_timing(timing):
+            for kind, kwargs, shields in ATTACK_CASES:
+                for hfi in shields:
+                    result = ATTACKS[kind](
+                        params or DEFAULT_PARAMS, protect_with_hfi=hfi,
+                        **kwargs).attack(secret_value=ATTACK_SECRET)
+                    expected = _expected_leak(ATTACK_SECRET, hfi)
+                    stats.attack_runs += 1
+                    if result.leaked_value == expected and (
+                            expected is not None
+                            or min(result.latencies) > result.threshold):
+                        continue
+                    stats.attack_mismatches += 1
+                    args = "".join(f" {k}={v}" for k, v in kwargs.items())
+                    failures.append(
+                        f"attack {kind}{args} hfi={hfi} [{engine}/{timing}]"
+                        f": leaked {result.leaked_value!r}, expected "
+                        f"{expected!r}")
+    return [f"{e}/{t}" for e, t in cells]
+
+
 def run_verify(seeds: Iterable[int] = range(50),
                comparator_trials: int = 20_000,
                comparator_seed: int = 0,
@@ -317,7 +371,7 @@ def run_verify(seeds: Iterable[int] = range(50),
 
     ``stats.clean`` is the gate: zero cross-backend divergences, zero
     unclassified comparator disagreements, zero poison hits, zero
-    invariant violations.
+    invariant violations, zero attack mismatches.
     """
     stats = VerifyStats(component="verify")
     failures: List[str] = []
@@ -346,6 +400,8 @@ def run_verify(seeds: Iterable[int] = range(50),
     _ooo_smoke(stats, failures)
     _chaos_smoke(stats, failures, params=params)
     _determinism_smoke(stats, failures, params=params)
+    attack_cells = _attack_smoke(stats, failures, engines, timings,
+                                 params=params)
 
     report = {
         "engines": list(engines),
@@ -370,6 +426,11 @@ def run_verify(seeds: Iterable[int] = range(50),
         "determinism": {
             "runs": stats.determinism_runs,
             "mismatches": stats.determinism_mismatches,
+        },
+        "attacks": {
+            "cells": attack_cells,
+            "runs": stats.attack_runs,
+            "mismatches": stats.attack_mismatches,
         },
         "poison_writes": stats.poison_writes,
         "poison_hits": stats.poison_hits,

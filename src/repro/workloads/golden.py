@@ -176,12 +176,9 @@ def _nginx_request_grid() -> Metrics:
 # Spectre attack runs
 # ----------------------------------------------------------------------
 def _spectre(kind: str, protect_with_hfi: bool, **kwargs) -> Metrics:
-    from ..attacks import (SpectreBtbAttack, SpectrePhtAttack,
-                           SpectreRsbAttack)
+    from ..attacks import ATTACKS
 
-    cls = {"pht": SpectrePhtAttack, "btb": SpectreBtbAttack,
-           "rsb": SpectreRsbAttack}[kind]
-    attack = cls(protect_with_hfi=protect_with_hfi, **kwargs)
+    attack = ATTACKS[kind](protect_with_hfi=protect_with_hfi, **kwargs)
     outcome = attack.attack(secret_value=ord("I"))
     metrics = _stats_dict(attack.cpu.stats)
     metrics["leaked_value"] = outcome.leaked_value

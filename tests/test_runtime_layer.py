@@ -63,10 +63,6 @@ class TestSandboxManager:
         assert result.cycles == (result.enter_cycles + result.exit_cycles
                                  + result.software_cycles
                                  + result.service_cycles)
-        # Typed results still compare/add like the raw totals they
-        # replaced.
-        assert result > 10_000
-        assert result == result.cycles
         assert handle.invocations == 1
         assert manager.hfi.cause_msr is FaultCause.EXIT_INSTRUCTION
 

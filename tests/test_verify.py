@@ -261,6 +261,33 @@ class TestRunVerify:
         assert stats.determinism_mismatches == 0
         assert report["determinism"]["runs"] == stats.determinism_runs
         assert report["determinism"]["mismatches"] == 0
+        # 7 attack runs in each of the 4 timed engine x timing cells
+        assert stats.attack_runs == 28
+        assert stats.attack_mismatches == 0
+        assert report["attacks"] == {
+            "cells": ["staged/inorder", "staged/ooo", "blocks/inorder",
+                      "blocks/ooo"],
+            "runs": 28, "mismatches": 0}
+
+    def test_attack_smoke_flags_a_broken_expectation(self, monkeypatch):
+        """Demand that protected runs leak too: every HFI run (one
+        per PHT/RSB, two per BTB) becomes a mismatch and the verdict
+        goes dirty."""
+        import repro.verify as verify
+        from repro.telemetry import VerifyStats
+
+        monkeypatch.setattr(verify, "_expected_leak",
+                            lambda secret, protect_with_hfi: secret)
+        stats, failures = VerifyStats(), []
+        cells = verify._attack_smoke(stats, failures, ("staged",),
+                                     ("inorder",))
+        assert cells == ["staged/inorder"]
+        assert stats.attack_runs == 7
+        assert stats.attack_mismatches == 4
+        assert len(failures) == 4
+        assert all("hfi=True" in line and "expected 73" in line
+                   for line in failures)
+        assert not stats.clean
 
     def test_verify_stats_clean_property(self):
         from repro.telemetry import VerifyStats
@@ -270,4 +297,5 @@ class TestRunVerify:
         assert not VerifyStats(poison_hits=1).clean
         assert not VerifyStats(invariant_violations=1).clean
         assert not VerifyStats(determinism_mismatches=1).clean
+        assert not VerifyStats(attack_mismatches=1).clean
         assert "clean" in VerifyStats().as_dict()
