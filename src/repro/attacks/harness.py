@@ -72,6 +72,11 @@ class SpectreHarness:
         self.protect_with_hfi = protect_with_hfi
         self.space = AddressSpace(params)
         self.cpu = Cpu(params, memory=self.space)
+        if not isinstance(self.cpu, Cpu):
+            # The reference oracle models no caches: no channel to time.
+            raise ValueError(
+                f"the Spectre harness needs a cache model; engine "
+                f"{self.cpu.engine!r} has none (use staged or blocks)")
         for base, size, name in (
                 (DATA_BASE, REGION_BYTES, "victim-data"),
                 (PROBE_BASE, PROBE_BYTES, "probe"),

@@ -70,15 +70,7 @@ def _run_one(name: str, strategy_name: str, scale: int,
     instance = runtime.instantiate(module, make_strategy(strategy_name))
     result = runtime.run(instance)
     value = runtime.space.read(instance.layout.globals_base)
-    return result, value, instance, _executed_engine(runtime.cpu)
-
-
-def _executed_engine(cpu) -> str:
-    """The engine that actually ran: ``blocks`` compiles superblocks
-    only under in-order timing and runs the staged loop otherwise."""
-    if cpu.engine == "blocks" and cpu._blocks is None:
-        return "staged"
-    return cpu.engine
+    return result, value, instance, runtime.cpu.engine
 
 
 def cmd_run(args) -> int:

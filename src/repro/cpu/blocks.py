@@ -27,6 +27,16 @@ to locals:
 * every other block-safe handler is called through its precompiled
   ``DecodedOp.run`` closure, pre-bound as a default argument.
 
+That accounting is the in-order one (``timing.inline_commit``).  Under
+a scoreboarded backend (``ooo``) blocks stay purely functional and the
+scoreboard stays the one timing model: each instruction is bracketed
+by ``timing.issue(dop, fetch)`` / ``timing.retire(dop)`` exactly as in
+the staged loop, no cycles accumulate in the block, and memory
+fragments call their handler so their latency and hmov check reach the
+scoreboard through ``mem_access``/``hmov_check``.  The segment-batched
+l1i probe carries over: a segment's head gets the probe's latency, the
+rest the l1i hit latency.
+
 What a superblock must preserve bit-for-bit (the golden-cycle fixture
 and ``verify.fuzz_isa`` enforce this):
 
@@ -508,19 +518,29 @@ class Superblock:
 
 
 def compile_superblock(cpu, dops: List[DecodedOp]) -> Superblock:
-    """Generate and compile the fused callable for one basic block."""
+    """Generate and compile the fused callable for one basic block,
+    with in-order accounting inlined or scoreboard calls emitted as
+    ``cpu.timing`` requires (see the module docstring)."""
+    timing = cpu.timing
+    inline = timing.inline_commit
     b = _SourceBuilder()
     b.bind("R", cpu.regs.regs)
     b.bind("F", cpu.regs.flags)
     b.bind("RF", cpu.regs)
     b.bind("S", cpu.stats)
-    b.bind("FETCH", cpu.timing.fetch)
+    b.bind("FETCH", timing.fetch)
     l1i = cpu.caches.l1i
     b.bind("L1I", l1i)
     base_cycles = cpu.params.base_cycles
-    hit_plus_base = cpu.params.l1i_hit_cycles + base_cycles
+    hit_cycles = cpu.params.l1i_hit_cycles
+    hit_plus_base = hit_cycles + base_cycles
 
     kinds = [_classify(dop.ins) for dop in dops]
+    if not inline:
+        b.bind("ISSUE", timing.issue)
+        b.bind("RETIRE", timing.retire)
+        kinds = [_GENERIC if kind is _INLINE_MEM else kind
+                 for kind in kinds]
     uses_mem = any(kind is _INLINE_MEM for kind in kinds)
     if uses_mem:
         l1d = cpu.caches.l1d
@@ -588,8 +608,10 @@ def compile_superblock(cpu, dops: List[DecodedOp]) -> Superblock:
             segments.append((start, i))
             start = i + 1
 
-    lines = ["    n = 0", "    cpu._in_block = True", "    c = 0",
-             "    h = 0"]
+    lines = ["    n = 0", "    cpu._in_block = True"]
+    if inline:
+        lines.append("    c = 0")
+    lines.append("    h = 0")
     if uses_mem:
         lines.append("    ld = 0; st = 0; tlbh = 0; dh = 0")
     lines.append("    try:")
@@ -613,14 +635,25 @@ def compile_superblock(cpu, dops: List[DecodedOp]) -> Superblock:
         lines.append(f"            del {w}[{tag}]")
         lines.append(f"            {w}[{tag}] = True")
         lines.append(f"            h += {k}")
-        lines.append(f"            c += {k * hit_plus_base}")
-        lines.append("        else:")
-        lines.append(f"            c += FETCH({dops[seg_start].addr})"
-                     f" + {base_cycles + (k - 1) * hit_plus_base}")
+        if inline:
+            lines.append(f"            c += {k * hit_plus_base}")
+            lines.append("        else:")
+            lines.append(f"            c += FETCH({dops[seg_start].addr})"
+                         f" + {base_cycles + (k - 1) * hit_plus_base}")
+        else:
+            # The probe result is the segment head's fetch latency;
+            # the rest of the segment hits the now-MRU line.
+            lines.append(f"            fc = {hit_cycles}")
+            lines.append("        else:")
+            lines.append(f"            fc = FETCH({dops[seg_start].addr})")
         if k > 1:
             lines.append(f"            h += {k - 1}")
         for i in range(seg_start, seg_end + 1):
             dop = dops[i]
+            if not inline:
+                d = b.bind(f"d{i}", dop)
+                fetch = "fc" if i == seg_start else str(hit_cycles)
+                lines.append(f"        ISSUE({d}, {fetch})")
             if kinds[i] is _GENERIC:
                 r = b.bind(f"r{i}", dop.run)
                 lines.append(f"        {r}(cpu)")
@@ -630,6 +663,8 @@ def compile_superblock(cpu, dops: List[DecodedOp]) -> Superblock:
             else:
                 for frag in _emit_inline(b, dop.ins, flags_live[i]):
                     lines.append(f"        {frag}")
+            if not inline:
+                lines.append(f"        RETIRE({d})")
     # Pure-register inlined fragments defer the rip store; generic
     # handlers and memory fragments (which can fault) write it
     # themselves, so only a pure-inlined *last* instruction needs the
@@ -642,9 +677,10 @@ def compile_superblock(cpu, dops: List[DecodedOp]) -> Superblock:
         "        cpu._in_block = False",
         "        cpu._block_retired = n",
         "        S.instructions += n",
-        "        S.cycles += c",
-        "        L1I._hits += h",
     ])
+    if inline:
+        lines.append("        S.cycles += c")
+    lines.append("        L1I._hits += h")
     if uses_mem:
         lines.extend([
             "        S.loads += ld",

@@ -125,8 +125,8 @@ class ExecutionBackend(Protocol):
     ``Cpu(engine=...)`` (or the ``--engine`` CLI flag):
 
     * ``"blocks"`` — the staged loop plus superblock compilation of
-      basic blocks (:mod:`repro.cpu.blocks`); the default.  Under a
-      non-inline timing backend (``ooo``) it runs the staged loop;
+      basic blocks (:mod:`repro.cpu.blocks`); the default, under
+      every timing backend;
     * ``"staged"`` — the per-instruction commit loop over predecoded
       :class:`~repro.cpu.decode.DecodedOp` closures, which is also the
       single-step fallback inside ``blocks`` for cold code;
@@ -252,13 +252,12 @@ class Cpu:
         self._decoded: Dict[int, DecodedOp] = {}
         #: Superblock cache (``blocks`` engine only); CodeMap routes
         #: code-write invalidations through it so compiled blocks stay
-        #: coherent with self-modifying code.  Compiled blocks bake the
-        #: in-order accounting into generated source, so a non-inline
-        #: timing backend degrades ``blocks`` to the staged loop
-        #: (architectural behavior is identical either way).
-        self._blocks = (BlockCache(self)
-                        if self.engine == "blocks"
-                        and self.timing_model == "inorder" else None)
+        #: coherent with self-modifying code.  Blocks compile against
+        #: the timing backend (below): in-order accounting is inlined,
+        #: a scoreboarded backend gets the staged loop's issue/retire
+        #: calls per instruction.
+        self._blocks = (BlockCache(self) if self.engine == "blocks"
+                        else None)
         #: Raw instruction map; writes invalidate ``_decoded`` entries.
         self._code: Dict[int, Instruction] = CodeMap(self._decoded,
                                                     blocks=self._blocks)

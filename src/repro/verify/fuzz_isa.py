@@ -14,7 +14,9 @@ from bit-identical address spaces, and asserts equality of the full
 architectural end state against the first engine: every GPR, the
 flags, ``rip``, the stop reason, the fault record, the
 committed-instruction count, the HFI bank (regions, sandbox flags,
-cause MSR, lifecycle counters), and all non-zero memory.
+cause MSR, lifecycle counters), and all non-zero memory.  Cells that
+share a timing model (every engine but the reference oracle) must
+additionally agree on every ``CpuStats`` field, cycles included.
 
 Backends are constructed by name through
 :func:`repro.cpu.machine.create_backend` — the public engine seam —
@@ -27,7 +29,7 @@ reads the cycle counter, which the reference engine does not model.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.encoding import encode_region, encode_sandbox
@@ -617,7 +619,10 @@ def run_differential(seed: int,
     Timing models must not change architecture: cycle counts may (and
     do) differ across ``timings``, but registers, flags, rip, memory,
     the HFI bank, committed instruction counts, and run outcomes must
-    be bit-identical — that is the pluggable-timing contract.
+    be bit-identical — that is the pluggable-timing contract.  Within
+    one timing model the engines must not change timing either: the
+    first non-reference cell of each timing model is the reference for
+    every ``CpuStats`` field of the later ones.
     """
     params = params if params is not None else MachineParams()
     case = build_case(seed)
@@ -633,12 +638,24 @@ def run_differential(seed: int,
         instructions=base.stats.instructions)
     base_ok = "exception" not in base_out
     base_digest = architectural_digest(base) if base_ok else None
+    #: timing model -> (cell name, CpuStats fields) of its first cell
+    timed: Dict[str, Tuple[str, Dict[str, int]]] = {}
+    if base_ok and base_engine != "reference":
+        timed[base_timing] = (base_name, asdict(base.stats))
     for other_engine, other_timing in matrix[1:]:
         other_name = (other_engine if len(timings) == 1
                       else f"{other_engine}/{other_timing}")
         other = _fresh_backend(other_engine, case, params,
                                timing=other_timing)
         other_out = _guarded_run(other, case.entry, case.max_instructions)
+        if other_engine != "reference" and "exception" not in other_out:
+            stats = asdict(other.stats)
+            first = timed.setdefault(other_timing, (other_name, stats))
+            for key, value in first[1].items():
+                if stats[key] != value:
+                    outcome.divergences.append(
+                        f"stats.{key}: {first[0]}={value} "
+                        f"{other_name}={stats[key]}")
         for key in sorted(set(base_out) | set(other_out)):
             if base_out.get(key) != other_out.get(key):
                 outcome.divergences.append(

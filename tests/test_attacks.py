@@ -4,10 +4,12 @@ without HFI and are blocked by HFI's regions."""
 import pytest
 
 from repro.attacks import (
+    ATTACKS,
     SpectreBtbAttack,
     SpectrePhtAttack,
     SpectreRsbAttack,
 )
+from repro.cpu.machine import default_engine
 from repro.params import MachineParams
 
 
@@ -94,3 +96,11 @@ class TestSpectreRsb:
         attack = SpectreRsbAttack(params, protect_with_hfi=False)
         result = attack.attack(secret_value=secret)
         assert result.leaked_value == secret
+
+
+def test_reference_engine_is_refused_by_name():
+    """The reference oracle has no caches to time, so the harness
+    refuses it up front instead of failing inside ``leak``."""
+    with default_engine("reference"):
+        with pytest.raises(ValueError, match="'reference'"):
+            ATTACKS["pht"]().attack()

@@ -132,7 +132,7 @@ class TestEngineFlags:
 
     @pytest.mark.parametrize("engine, timing_model, executed", [
         ("blocks", "inorder", "blocks"),
-        ("blocks", "ooo", "staged"),       # blocks runs staged under ooo
+        ("blocks", "ooo", "blocks"),
         ("staged", "inorder", "staged"),
         ("staged", "ooo", "staged"),
     ])

@@ -14,12 +14,19 @@ Pins down the pluggable timing contract introduced with the
   hmov bounds check under the access latency (§4.2), pays for pipeline
   drains (§3.4), and keeps its rename/ROB/free-list bookkeeping exact
   under the structural audit;
-* the blocks engine degrades to the staged loop under non-default
-  timing rather than emitting stale in-order accounting.
+* the blocks engine compiles superblocks under OoO timing too, and
+  they drive the scoreboard exactly as the staged loop does: every
+  counter, the scoreboard's own stats and its window are identical,
+  on clean runs, mid-block faults and budgets that stop at a block.
 """
+
+import dataclasses
 
 import pytest
 
+import repro.cpu.blocks as blocks_mod
+from repro.core import ImplicitCodeRegion
+from repro.core.regions import ExplicitDataRegion
 from repro.cpu import Cpu
 from repro.cpu.machine import create_backend
 from repro.cpu.ooo import OutOfOrderTiming
@@ -34,6 +41,7 @@ from repro.cpu.timing import (
 from repro.isa import Assembler, Imm, Mem, Reg
 from repro.os import AddressSpace, Prot
 from repro.params import MachineParams
+from repro.telemetry.sink import Telemetry
 from repro.verify.fuzz_isa import build_matrix, run_differential
 from repro.verify.reference import ReferenceCpu
 
@@ -99,6 +107,37 @@ def _dependent_chain(n=64):
     return asm
 
 
+def _walk_off_heap(hmov):
+    """A loop whose load walks one page per iteration off the end of
+    the heap (``hmov``: off the end of explicit region 0), faulting on
+    the second instruction of the loop's block."""
+    start = (1 << 16) - 4 * 0x1000      # region-relative for hmov
+    asm = Assembler()
+    asm.mov(Reg.RAX, Imm(0))
+    asm.mov(Reg.RBX, Imm(start if hmov else HEAP + start))
+    asm.mov(Reg.RCX, Imm(64))
+    asm.label("loop")
+    asm.add(Reg.RAX, Reg.RCX)
+    if hmov:
+        asm.hmov(0, Reg.RDX, Mem(index=Reg.RBX, scale=1, disp=0))
+    else:
+        asm.mov(Reg.RDX, Mem(base=Reg.RBX, disp=0))
+    asm.add(Reg.RBX, Imm(0x1000))
+    asm.dec(Reg.RCX)
+    asm.jne("loop")
+    asm.hlt()
+    return asm.assemble()
+
+
+def _sandbox(cpu, program):
+    """Enable HFI with the code page and the heap as explicit region 0."""
+    cpu.hfi.regs.code[0] = ImplicitCodeRegion.covering(
+        program.base & ~0xFFFF, 1 << 16)
+    cpu.hfi.regs.explicit[0] = ExplicitDataRegion(
+        HEAP, 1 << 16, permission_read=True, permission_write=True)
+    cpu.hfi.regs.enabled = True
+
+
 def _arch_digest(cpu):
     f = cpu.regs.flags
     return {
@@ -154,6 +193,13 @@ class TestTimingApi:
         assert ("reference", "ooo") not in matrix
         assert ("reference", "inorder") in matrix
 
+    def test_ooo_registers_blocks_and_scoreboard_stats(self, params):
+        telemetry = Telemetry()
+        cpu = Cpu(params, engine="blocks", timing="ooo",
+                  telemetry=telemetry)
+        assert cpu._blocks is not None
+        assert {"blocks", "ooo"} <= set(telemetry.collect())
+
     def test_phys_regs_floor_enforced(self, params):
         tight = params.with_overrides(ooo_phys_regs=17)
         with pytest.raises(ValueError):
@@ -173,20 +219,57 @@ class TestArchitecturalParity:
         assert digests["inorder"] == digests["ooo"]
         assert cycles["ooo"] < cycles["inorder"]
 
-    def test_fuzz_matrix_engine_x_timing(self):
+    def test_fuzz_matrix_engine_x_timing(self, monkeypatch):
+        # Eager compilation: fuzz programs are too short to warm up.
+        monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+        monkeypatch.setattr(blocks_mod, "COMPILE_VISIT_BUDGET", 0)
         for seed in (11, 42, 1337):
             outcome = run_differential(
-                seed, engines=("staged",), timings=("inorder", "ooo"))
+                seed, engines=("staged", "blocks"),
+                timings=("inorder", "ooo"))
             assert outcome.divergences == [], (seed, outcome.divergences)
 
-    def test_blocks_engine_degrades_under_ooo(self, params):
-        staged = make_cpu(timing="ooo", engine="staged", params=params)
-        blocks = make_cpu(timing="ooo", engine="blocks", params=params)
-        assert blocks._blocks is None  # generated code bakes in in-order
-        run_asm(staged, _parallel_alu())
-        run_asm(blocks, _parallel_alu())
-        assert _arch_digest(staged) == _arch_digest(blocks)
-        assert staged.stats.cycles == blocks.stats.cycles
+    def test_blocks_engine_matches_staged_under_ooo(self, params,
+                                                   monkeypatch):
+        # Compile on first visit so even short runs execute blocks.
+        monkeypatch.setattr(blocks_mod, "HOT_THRESHOLD", 1)
+        monkeypatch.setattr(blocks_mod, "COMPILE_VISIT_BUDGET", 0)
+        alu = _parallel_alu().assemble()
+        cases = [("clean", alu, None, 1_000_000, "hlt"),
+                 ("page fault", _walk_off_heap(hmov=False), None,
+                  1_000_000, "fault"),
+                 ("hfi trap", _walk_off_heap(hmov=True), _sandbox,
+                  1_000_000, "fault")]
+        # Setup is 5 instructions and the loop 6 per iteration: these
+        # budgets end at every offset of an iteration, so some stop
+        # just short of a block that then no longer fits.
+        cases += [(f"budget {budget}", alu, None, budget,
+                   "instruction_limit") for budget in range(41, 53)]
+        fallbacks = 0
+        for label, program, setup, budget, reason in cases:
+            runs = {}
+            for engine in ("staged", "blocks"):
+                cpu = make_cpu(timing="ooo", engine=engine, params=params)
+                cpu.load_program(program)
+                if setup is not None:
+                    setup(cpu, program)
+                result = cpu.run(program.base, max_instructions=budget)
+                assert result.reason == reason, (label, engine)
+                timing = cpu.timing
+                assert timing.audit() == [], (label, engine)
+                runs[engine] = (result.rip, result.fault,
+                                dataclasses.asdict(cpu.stats),
+                                timing.ooo_stats(),
+                                timing.window_occupancy,
+                                _arch_digest(cpu))
+            blocks = cpu._blocks
+            assert blocks is not None and blocks.executions > 0, label
+            if reason == "fault":
+                # the fault unwound a block after its first instruction
+                assert cpu._block_retired == 2, label
+            fallbacks += blocks.fallbacks
+            assert runs["staged"] == runs["blocks"], label
+        assert fallbacks > 0
 
     def test_precise_exceptions(self, params):
         """A faulting access retires with the same architectural state
